@@ -6,9 +6,7 @@
 //! ```
 //!
 //! Subcommands: `table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 ablation all`,
-//! plus `bench-json` (machine-readable single-thread before/after numbers
-//! for the hot-path work, written to `BENCH_PR1.json` or `--out PATH`),
-//! `shard-scale` (sharded-substrate throughput/recovery sweep, written to
+//! plus `shard-scale` (sharded-substrate throughput/recovery sweep, written to
 //! `BENCH_PR2.json` or `--out PATH`), `batch-scale` (batched write
 //! pipeline: load_sorted vs insert-loop fill plus an insert_batch batch-
 //! size sweep, written to `BENCH_PR3.json` or `--out PATH`), and
@@ -31,10 +29,6 @@
 //! hash leaf beats the sorted leaf on YCSB-C point lookups and that the
 //! adaptive policy tracks the best static layout on point-heavy and
 //! scan-heavy mixes; written to `BENCH_PR8.json` or `--out PATH`), and
-//! `group-scale` (flat-combining group commit vs direct per-op writes on
-//! a write-heavy plain-Zipfian mix at 2/4/8 writer threads, with the
-//! persists/op reduction and the open-loop p99-under-flush-deadline
-//! check; written to `BENCH_PR10.json` or `--out PATH`), and
 //! `trace-scale` (structural heat attribution + sampled op tracing +
 //! time-resolved metrics: asserts the conflict heatmap ranks the
 //! planted 256-key hot window's leaves above the uniform control's,
@@ -57,7 +51,7 @@ use bench::Scale;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|bench-json|shard-scale|batch-scale|obs-report|contention-scale|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|all> \
+        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|shard-scale|batch-scale|obs-report|contention-scale|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|bench-index|all> \
          [--quick] [--warm N] [--duration-ms N] [--threads a,b,c] \
          [--latency-ns N] [--workers N] [--seed N] [--out PATH] [--assert-overhead PCT]"
     );
@@ -80,9 +74,8 @@ fn main() {
         "varkey-scale" => "BENCH_PR7.json",
         "leaf-scale" => "BENCH_PR8.json",
         "trace-scale" => "BENCH_PR9.json",
-        "group-scale" => "BENCH_PR10.json",
         "bench-index" => "BENCH_TRAJECTORY.md",
-        _ => "BENCH_PR1.json",
+        _ => "",
     });
     let mut assert_overhead: Option<f64> = None;
     let mut i = 1;
@@ -158,7 +151,6 @@ fn main() {
         "fig10" => experiments::fig10(&scale),
         "ablation" => experiments::ablation_latency(&scale),
         "breakdown" => experiments::breakdown(&scale),
-        "bench-json" => bench::prbench::bench_json(&scale, &out_path),
         "shard-scale" => bench::shardbench::shard_scale(&scale, &out_path),
         "batch-scale" => bench::batchbench::batch_scale(&scale, &out_path),
         "obs-report" => bench::obsbench::obs_report(&scale, &out_path, assert_overhead),
@@ -168,7 +160,6 @@ fn main() {
         "leaf-scale" => bench::leafbench::leaf_scale(&scale, &out_path),
         "trace-scale" => bench::tracebench::trace_scale(&scale, &out_path, assert_overhead),
         "trace-report" => bench::tracebench::trace_report(&scale, assert_overhead),
-        "group-scale" => bench::combench::group_scale(&scale, &out_path),
         "bench-index" => {
             bench::trendbench::bench_index(std::path::Path::new("."), &out_path)
         }

@@ -24,14 +24,12 @@
 
 pub mod batchbench;
 pub mod cachebench;
-pub mod combench;
 pub mod contbench;
 pub mod experiments;
 pub mod harness;
 pub mod leafbench;
 pub mod microbench;
 pub mod obsbench;
-pub mod prbench;
 pub mod report;
 pub mod shardbench;
 pub mod tracebench;

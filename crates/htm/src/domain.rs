@@ -161,6 +161,15 @@ fn adapt_take_site(site: usize) -> bool {
     })
 }
 
+/// Serialises tier-2 bodies process-wide. A tier-2 body holds the
+/// version-lock entries it touches until it ends, and the lock table is
+/// shared by every domain: two bodies of different domains running at once
+/// could each wait for an entry the other holds. Every other entry holder
+/// gives its entries back within a bounded wait (optimistic commits abort,
+/// striped publishes release and retry, `*_nontx` ops hold one entry and
+/// never wait while holding it), so one body at a time cannot deadlock.
+static IRREVOCABLE_BODY: FallbackLock = FallbackLock::new();
+
 /// An HTM execution domain: two-tier fallback + stats + capacity model.
 ///
 /// Each concurrent data structure owns one domain, mirroring a per-structure
@@ -419,21 +428,24 @@ impl HtmDomain {
         let result = body(&mut txn);
         crate::set_in_transaction(false);
         let outcome = match result {
-            Ok(r) => {
-                // Publishes the buffered writes; infallible under the held
-                // stripes (no validation phase — see the tier-1 proof).
-                let committed = txn.commit();
-                debug_assert!(committed.is_ok());
-                let _ = committed;
-                StripedOutcome::Done(r)
-            }
+            Ok(r) => match txn.commit() {
+                // Publishes the buffered writes. The one failure is a word
+                // the body read being changed meanwhile by a writer the
+                // stripes do not exclude, such as a `*_nontx` store.
+                Ok(()) => StripedOutcome::Done(r),
+                Err(_) => {
+                    self.stats.stripe_escapes.fetch_add(1, Relaxed);
+                    StripedOutcome::Escaped
+                }
+            },
             Err(a) => {
                 if !txn.escaped() && matches!(a.code, AbortCode::Explicit(_)) {
                     self.stats.aborts_explicit.fetch_add(1, Relaxed);
                     StripedOutcome::ExplicitAbort
                 } else {
-                    // Footprint miss, flush, or a body-propagated abort:
-                    // nothing was published; escalate to the global tier.
+                    // Footprint miss, flush, stale read, or a
+                    // body-propagated abort: nothing was published;
+                    // escalate to the global tier.
                     self.stats.stripe_escapes.fetch_add(1, Relaxed);
                     StripedOutcome::Escaped
                 }
@@ -455,11 +467,18 @@ impl HtmDomain {
         // all-stripe acquirer, so tier-1 (stripes only, ascending) can
         // never deadlock against it.
         let stripe_guard = self.stripes.acquire_all(&self.stats.stripe_conflicts);
+        // Innermost: one tier-2 body at a time across every domain (see
+        // `IRREVOCABLE_BODY`).
+        let body_guard = IRREVOCABLE_BODY.acquire();
         self.stats.fallbacks.fetch_add(1, Relaxed);
         self.stats.fallbacks_global.fetch_add(1, Relaxed);
         obs::note_fallback(2);
         let mut txn = Txn::irrevocable(self.opts);
         let result = body(&mut txn);
+        // Release the version-lock entries the body held before the
+        // fallback words: releasing a fallback word takes its own entry.
+        drop(txn);
+        drop(body_guard);
         drop(stripe_guard);
         drop(guard);
         match result {
@@ -515,8 +534,8 @@ impl HtmDomain {
 enum StripedOutcome<R> {
     /// Body completed; buffered writes were published under the stripes.
     Done(R),
-    /// Footprint miss / flush / propagated abort: nothing published,
-    /// escalate to tier 2.
+    /// Footprint miss / flush / stale read / propagated abort: nothing
+    /// published, escalate to tier 2.
     Escaped,
     /// Body aborted explicitly: resume the optimistic loop.
     ExplicitAbort,

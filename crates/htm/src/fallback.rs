@@ -49,20 +49,21 @@
 //! published **`rv`-indivisibly**: tier 1 buffers its writes and commits
 //! them under the word version-locks at a *single* commit version `wv`
 //! (entries locked across the whole apply, all released at `wv`, exactly
-//! like an optimistic commit), and tier 2's in-place `store_nontx`
-//! publishes are fenced off from every `rv` by the begin-time global-word
+//! like an optimistic commit), and tier 2's in-place publishes are
+//! fenced off from every `rv` by the begin-time global-word
 //! subscription above. So an in-flight *O* either reads pre-*F* values,
 //! reads the whole published set, or aborts at the offending read — it
 //! can never *observe* a fallback's writes torn, not even across the
 //! multiple words of one fallback's write set.
 //!
-//! The one hazard left is the reverse direction: *F*'s reads are never
-//! validated, so an *O* that commits writes **into *F*'s window** would
-//! hand *F* a stale snapshot. *F*'s reads are confined to its held
-//! stripes (tier 1 re-checks coverage on every access and escalates with
-//! nothing published on a miss — its writes are buffered until the whole
-//! body proves in-bounds; tier 2 holds everything), so it suffices that
-//! *O* never commits writes into a held footprint-overlapping stripe.
+//! The one hazard left is the reverse direction: *F*'s reads are not
+//! validated as they happen, so an *O* that commits writes **into *F*'s
+//! window** would hand *F* a stale snapshot. *F*'s reads are confined to
+//! its held stripes (tier 1 re-checks coverage on every access and
+//! escalates with nothing published on a miss — its writes are buffered
+//! until the whole body proves in-bounds; tier 2 holds everything), so
+//! it suffices that *O* never commits writes into a held
+//! footprint-overlapping stripe.
 //! Case split on *F*'s window vs *O*'s commit, using two facts: *O*
 //! holds its write-set lock entries from phase 1 through apply, and both
 //! fallback reads *and* `store_nontx` spin out held lock entries
@@ -95,6 +96,20 @@
 //! check entirely; without those two mechanisms (per-word tier-1
 //! publish versions, or `rv` sampled mid-tier-2-window) it could commit
 //! a torn slice of an atomic fallback section.
+//!
+//! **F vs `*_nontx` writers.** [`TmWord::store_nontx`],
+//! [`TmWord::cas_nontx`] and [`TmWord::fetch_add_nontx`] take only the
+//! word's version-lock entry, never a fallback word, so holding stripes
+//! or the global word does not exclude them. Without more, such a write
+//! could land between a fallback's read of a word and its write of it,
+//! and be lost. So tier 2 holds the entry of every word it reads or
+//! writes until its body ends (the `*_nontx` writer waits), and tier 1
+//! records the entry version each read saw and re-checks them all under
+//! its publish locks, escaping to tier 2 with nothing published on a
+//! mismatch. Holding entries through a body is a hold-and-wait; two
+//! rules keep it from forming a cycle: tier-2 bodies run one at a time
+//! process-wide, and a striped publish never waits while holding (a
+//! bounded spin that fails releases everything and starts over).
 //!
 //! **O vs G.** The same argument with "all stripes + the global word" as
 //! the footprint; the global-word check keeps it valid verbatim when
@@ -204,7 +219,7 @@ pub struct FallbackLock {
 
 impl FallbackLock {
     /// Creates a free lock.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         FallbackLock {
             word: TmWord::new(0),
         }

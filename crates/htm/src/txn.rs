@@ -47,18 +47,25 @@
 //!   buffered like optimistic ones and every access re-checks that its
 //!   line's stripe is actually held; a miss marks the transaction *escaped*
 //!   and aborts it with nothing published, letting the domain escalate to
-//!   tier 2. Commit publishes the buffered writes **atomically at one
-//!   commit version**: it locks the write set's version-lock entries
-//!   (sorted, spin-until-held — a fallback cannot abort), bumps the clock
-//!   once, applies, and releases every entry at that single `wv`. This is
-//!   the property that keeps read-only optimistic commits check-free: a
-//!   striped fallback's write set is indivisible under the ordinary TL2
-//!   sandwich validation, exactly like an optimistic commit's.
+//!   tier 2. Reads record the version of the lock entry they saw. Commit
+//!   locks the write set's version-lock entries (sorted; a bounded spin
+//!   that fails releases them all and starts over), then re-checks every
+//!   recorded read version: the stripes exclude other fallbacks and
+//!   optimistic committers, but not `TmWord::*_nontx` writers, which take
+//!   only the word's entry. A changed version means
+//!   such a write landed after the read; commit then escapes with nothing
+//!   published. Otherwise it bumps the clock once, applies, and releases
+//!   every entry at that single `wv`. This is the property that keeps
+//!   read-only optimistic commits check-free: a striped fallback's write
+//!   set is indivisible under the ordinary TL2 sandwich validation,
+//!   exactly like an optimistic commit's.
 //! * **Irrevocable** (tier 2, under the global fallback lock + all
-//!   stripes): reads wait out committing writers and writes are
-//!   conflict-visible immediately; mutual exclusion is total. Its
-//!   word-by-word publishes carry *no* single commit version, which is
-//!   why optimistic `begin` subscribes to the global word (above).
+//!   stripes): every read and write first takes the word's version-lock
+//!   entry and holds it until the body ends, so no `*_nontx` writer can
+//!   land between a read and a later write. Writes go to memory at once;
+//!   when the body ends, written entries are released at one fresh
+//!   version and read-only entries at their old one. Mutual exclusion
+//!   with every other writer is total for the words it touches.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -133,8 +140,21 @@ impl Default for TxnOptions {
 const COMMIT_LOCK_SPINS: u32 = 128;
 
 /// Bounded spin iterations before yielding while a must-succeed wait spins
-/// (begin-time subscription, striped-publish lock acquisition).
+/// (begin-time subscription, tier-2 entry acquisition).
 const WAIT_SPIN_LIMIT: u32 = 64;
+
+/// One step of a must-succeed wait: spin, yielding to the OS every
+/// [`WAIT_SPIN_LIMIT`] steps so an oversubscribed host lets the holder run.
+#[inline]
+fn wait_step(spins: &mut u32) {
+    *spins += 1;
+    if *spins >= WAIT_SPIN_LIMIT {
+        *spins = 0;
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+}
 
 /// Bloom bit for a word address in the 64-bit write-set summary.
 ///
@@ -175,9 +195,56 @@ struct StripedState {
     /// the run must escalate to the global tier. Nothing was published —
     /// striped writes are buffered until commit.
     escaped: Cell<bool>,
+    /// (lock index, version seen), deduplicated by index; re-checked at
+    /// commit against non-transactional writers.
+    read_set: SmallPairSet,
     /// Buffered writes + bloom summary, exactly as in optimistic mode.
     write_set: SmallPairSet,
     write_filter: u64,
+}
+
+struct IrrevocableState {
+    owner: u64,
+    /// (lock index, pre-lock version) of every entry held.
+    held: SmallPairSet,
+    /// Any write happened: held entries are released at a fresh version.
+    wrote: bool,
+}
+
+impl IrrevocableState {
+    /// Takes `w`'s version-lock entry unless this run already holds it.
+    /// Every other holder gives its entry back within a bounded wait (see
+    /// `IRREVOCABLE_BODY` in `domain.rs`), so this wait ends.
+    fn hold(&mut self, w: &TmWord) {
+        let idx = w.lock_idx();
+        let mut spins = 0u32;
+        loop {
+            let cur = global::lock_load(idx);
+            if cur == global::LOCKED | self.owner {
+                return;
+            }
+            if !global::is_locked(cur) && global::lock_try_acquire(idx, cur, self.owner) {
+                self.held.push((idx, cur));
+                return;
+            }
+            wait_step(&mut spins);
+        }
+    }
+}
+
+impl Drop for IrrevocableState {
+    /// Releases every held entry when the body ends — on commit, explicit
+    /// abort, or unwind alike.
+    fn drop(&mut self) {
+        if self.wrote {
+            let wv = global::clock_bump();
+            for &(idx, _) in self.held.as_slice() {
+                global::lock_release(idx, wv);
+            }
+        } else {
+            release_all(self.held.as_slice());
+        }
+    }
 }
 
 // The size gap between the variants is the design: `OptState` keeps its
@@ -187,7 +254,7 @@ struct StripedState {
 enum Mode {
     Optimistic(OptState),
     Striped(StripedState),
-    Irrevocable,
+    Irrevocable(IrrevocableState),
 }
 
 /// A running transaction. Obtained from [`crate::HtmDomain::atomic`].
@@ -265,6 +332,7 @@ impl<'t> Txn<'t> {
             mode: Mode::Striped(StripedState {
                 covered,
                 escaped: Cell::new(false),
+                read_set: SmallPairSet::new(),
                 write_set: SmallPairSet::new(),
                 write_filter: 0,
             }),
@@ -277,7 +345,11 @@ impl<'t> Txn<'t> {
 
     pub(crate) fn irrevocable(opts: TxnOptions) -> Self {
         Txn {
-            mode: Mode::Irrevocable,
+            mode: Mode::Irrevocable(IrrevocableState {
+                owner: global::next_ticket(),
+                held: SmallPairSet::new(),
+                wrote: false,
+            }),
             opts,
             tbl: None,
             global: None,
@@ -287,13 +359,13 @@ impl<'t> Txn<'t> {
 
     /// True on the global fallback-lock (irrevocable) path.
     pub fn is_irrevocable(&self) -> bool {
-        matches!(self.mode, Mode::Irrevocable)
+        matches!(self.mode, Mode::Irrevocable(_))
     }
 
     /// True on either fallback path (striped tier or global irrevocable
     /// tier) — i.e. the body is running under a lock, not optimistically.
     pub fn is_fallback(&self) -> bool {
-        matches!(self.mode, Mode::Striped(_) | Mode::Irrevocable)
+        matches!(self.mode, Mode::Striped(_) | Mode::Irrevocable(_))
     }
 
     /// Bitmask of fallback stripes covering this (optimistic)
@@ -319,14 +391,11 @@ impl<'t> Txn<'t> {
     pub fn read(&mut self, w: &'t TmWord) -> TxResult<u64> {
         let opts = self.opts;
         match &mut self.mode {
-            Mode::Irrevocable => {
-                // Wait out any committing optimistic writer so we never see
-                // a torn multi-word commit (they hold their locks across the
-                // whole apply phase).
-                let idx = w.lock_idx();
-                while global::is_locked(global::lock_load(idx)) {
-                    std::hint::spin_loop();
-                }
+            Mode::Irrevocable(st) => {
+                // Holding the entry waits out any committing writer (no
+                // torn multi-word commit is visible) and keeps the word
+                // unchanged until the body ends.
+                st.hold(w);
                 Ok(w.load_direct())
             }
             Mode::Striped(st) => {
@@ -345,13 +414,29 @@ impl<'t> Txn<'t> {
                 }
                 // Holding the stripe excludes fallbacks, not an optimistic
                 // writer that validated before our stripe acquisition and
-                // is now applying: wait out its commit locks like the
-                // irrevocable path does.
+                // is now applying, nor a `*_nontx` writer: wait out the
+                // entry's lock, then record the version seen for commit to
+                // re-check.
                 let idx = w.lock_idx();
-                while global::is_locked(global::lock_load(idx)) {
-                    std::hint::spin_loop();
+                let mut spins = 0u32;
+                let seen = loop {
+                    let l = global::lock_load(idx);
+                    if !global::is_locked(l) {
+                        break l;
+                    }
+                    wait_step(&mut spins);
+                };
+                let v = w.load_direct();
+                match st.read_set.get(idx) {
+                    Some(earlier) if earlier != seen => {
+                        // The word changed since an earlier read of it.
+                        st.escaped.set(true);
+                        return Err(Abort::CONFLICT);
+                    }
+                    Some(_) => {}
+                    None => st.read_set.push((idx, seen)),
                 }
-                Ok(w.load_direct())
+                Ok(v)
             }
             Mode::Optimistic(st) => {
                 let addr = w.addr();
@@ -396,8 +481,13 @@ impl<'t> Txn<'t> {
     pub fn write(&mut self, w: &'t TmWord, val: u64) -> TxResult<()> {
         let opts = self.opts;
         match &mut self.mode {
-            Mode::Irrevocable => {
-                w.store_nontx(val);
+            Mode::Irrevocable(st) => {
+                st.hold(w);
+                st.wrote = true;
+                // Ordering: Release — pairs with Acquire in `load_direct`,
+                // as in `TmWord::store_nontx`; the entry's release at the
+                // end of the body republishes it to version validators.
+                w.0.store(val, std::sync::atomic::Ordering::Release);
                 Ok(())
             }
             Mode::Striped(st) => {
@@ -469,7 +559,7 @@ impl<'t> Txn<'t> {
                     code: AbortCode::FlushInTxn,
                 })
             }
-            Mode::Irrevocable => Ok(()),
+            Mode::Irrevocable(_) => Ok(()),
         }
     }
 
@@ -478,7 +568,7 @@ impl<'t> Txn<'t> {
         match &self.mode {
             Mode::Optimistic(st) => st.write_set.len(),
             Mode::Striped(st) => st.write_set.len(),
-            Mode::Irrevocable => 0,
+            Mode::Irrevocable(_) => 0,
         }
     }
 
@@ -486,13 +576,16 @@ impl<'t> Txn<'t> {
     pub(crate) fn commit(self) -> TxResult<()> {
         let (tbl, global) = (self.tbl, self.global);
         let mut st = match self.mode {
-            Mode::Irrevocable => return Ok(()),
+            // Dropping the state releases the held entries.
+            Mode::Irrevocable(_) => return Ok(()),
             Mode::Striped(mut st) => {
                 debug_assert!(!st.escaped.get(), "escaped striped txn must not commit");
                 // The held stripes exclude every conflicting fallback and
-                // abort every footprint-overlapping optimistic committer,
-                // so the buffered writes apply without validation — but
-                // they must publish **atomically at one commit version**.
+                // abort every footprint-overlapping optimistic committer;
+                // only `*_nontx` writers can have changed what the body
+                // read, which the read-set check below catches. The
+                // buffered writes must publish **atomically at one commit
+                // version**.
                 // Per-word `store_nontx` would give each word its own
                 // version: a read-only optimistic txn sampling rv between
                 // two of those bumps would pass sandwich validation on the
@@ -500,39 +593,55 @@ impl<'t> Txn<'t> {
                 // committing a torn slice of this supposedly atomic write
                 // set. So reuse the optimistic phase-1/phase-3 machinery:
                 // lock every entry (sorted ascending, same order as
-                // optimistic commits and other striped publishes — no
-                // deadlock; optimistic committers bound their spin and
-                // abort, so spinning here until held cannot wedge), bump
+                // optimistic commits and other striped publishes), bump
                 // the clock once, apply, release everything at that wv.
                 // Readers then see the set indivisible: entries locked
-                // during apply, all versions equal to wv after.
+                // during apply, all versions equal to wv after. A fallback
+                // cannot abort, so a bounded spin that fails releases
+                // everything, yields and starts over instead: never
+                // waiting while holding keeps a tier-2 body of another
+                // domain, which holds its entries until it ends, from
+                // deadlocking against this publish.
                 let ws = st.write_set.as_mut_slice();
                 ws.sort_unstable_by_key(|&(addr, _)| global::lock_index(addr));
                 let owner = global::next_ticket();
                 let ws = st.write_set.as_slice();
-                let mut acquired = SmallPairSet::new();
-                for i in 0..ws.len() {
-                    let idx = global::lock_index(ws[i].0);
-                    if i > 0 && global::lock_index(ws[i - 1].0) == idx {
-                        continue; // duplicate entry (adjacent after sort)
-                    }
-                    let mut spins = 0u32;
-                    loop {
-                        let cur = global::lock_load(idx);
-                        if !global::is_locked(cur)
-                            && global::lock_try_acquire(idx, cur, owner)
-                        {
-                            acquired.push((idx, cur));
-                            break;
+                let acquired = 'publish: loop {
+                    let mut acquired = SmallPairSet::new();
+                    for i in 0..ws.len() {
+                        let idx = global::lock_index(ws[i].0);
+                        if i > 0 && global::lock_index(ws[i - 1].0) == idx {
+                            continue; // duplicate entry (adjacent after sort)
                         }
-                        spins += 1;
-                        if spins >= WAIT_SPIN_LIMIT {
-                            spins = 0;
-                            std::thread::yield_now();
-                        } else {
+                        let mut spins = COMMIT_LOCK_SPINS;
+                        loop {
+                            let cur = global::lock_load(idx);
+                            if !global::is_locked(cur) && global::lock_try_acquire(idx, cur, owner)
+                            {
+                                acquired.push((idx, cur));
+                                break;
+                            }
+                            spins -= 1;
+                            if spins == 0 {
+                                release_all(acquired.as_slice());
+                                std::thread::yield_now();
+                                continue 'publish;
+                            }
                             std::hint::spin_loop();
                         }
                     }
+                    break acquired;
+                };
+                // Read-set check under the write locks: an entry that moved
+                // since the body read it carries a non-transactional write
+                // the body did not see. Publish nothing; the caller
+                // escalates to the global tier.
+                let stale = st.read_set.as_slice().iter().any(|&(idx, seen)| {
+                    acquired.get(idx).unwrap_or_else(|| global::lock_load(idx)) != seen
+                });
+                if stale {
+                    release_all(acquired.as_slice());
+                    return Err(Abort::CONFLICT);
                 }
                 let wv = global::clock_bump();
                 for &(addr, v) in ws {

@@ -14,6 +14,8 @@
 //!   stores: they bump the word's version lock so concurrent transactions
 //!   that read the word abort, exactly as a plain store on another core
 //!   aborts a hardware transaction that has the line in its read set.
+//!   They wait while a fallback section holds the word's entry, so they
+//!   must not be called from inside an atomic section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

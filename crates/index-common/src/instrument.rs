@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use obs::{ObsSource, OpClass, OpHistograms, OpType, Recorder, Section, TraceRing};
 
-use crate::{Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
+use crate::{Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value};
 
 /// A [`PersistentIndex`] wrapper that records per-op latency, and —
 /// when a [`TraceRing`] is attached — opens a sampled trace span around
@@ -120,10 +120,6 @@ impl<T: PersistentIndex> PersistentIndex for Instrumented<T> {
 
     fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
         self.timed(OpType::InsertBatch, |t| t.insert_batch(batch))
-    }
-
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        self.timed(OpType::InsertBatch, |t| t.write_batch(batch))
     }
 
     fn supports_var_keys(&self) -> bool {

@@ -25,19 +25,17 @@
 
 #![deny(missing_docs)]
 
-mod combine;
 mod inner;
 mod instrument;
 mod key;
 mod sharded;
 mod traits;
 
-pub use combine::{CommitStats, GroupCommit, GroupCommitConfig, SLOTS_PER_SHARD};
 pub use inner::{DescentStats, InnerIndex, INNER_FANOUT};
 pub use instrument::Instrumented;
 pub use key::{key_head, lcp, KeyBuf, KeyCodec, KeyRef, U64Key, MAX_KEY_LEN};
 pub use sharded::{shard_of, shard_of_bytes, ShardedIndex};
-pub use traits::{OpError, PersistentIndex, RecoverableIndex, TreeStats, WriteOp};
+pub use traits::{OpError, PersistentIndex, RecoverableIndex, TreeStats};
 
 /// Key type: 64-bit, as in the paper's YCSB-style evaluation.
 pub type Key = u64;

@@ -35,9 +35,7 @@ use std::time::{Duration, Instant};
 
 use nvm::PmemPool;
 
-use crate::{
-    Key, KeyBuf, KeyRef, OpError, PersistentIndex, RecoverableIndex, TreeStats, Value, WriteOp,
-};
+use crate::{Key, KeyBuf, KeyRef, OpError, PersistentIndex, RecoverableIndex, TreeStats, Value};
 
 /// Routes `key` to its home shard among `shards` partitions.
 ///
@@ -344,44 +342,6 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         for part in &parts {
             for &kv in part {
                 batch[w] = kv;
-                w += 1;
-            }
-        }
-        outcomes.into_iter().flatten().collect()
-    }
-
-    /// The mixed-class twin of the [`ShardedIndex::insert_batch`]
-    /// override: partition by home shard (submission order preserved
-    /// within a shard, so same-key elements still compose in order), run
-    /// per-shard sub-batches in parallel when large enough, rewrite the
-    /// caller's slice shard-major, results aligned with the rewrite.
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        let n = self.shards.len();
-        if n == 1 {
-            return self.shards[0].write_batch(batch);
-        }
-        let mut parts: Vec<Vec<(Key, Value, WriteOp)>> = vec![Vec::new(); n];
-        for &(k, v, op) in batch.iter() {
-            parts[shard_of(k, n)].push((k, v, op));
-        }
-        let parallel = batch.len() >= 64 * n && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        let outcomes: Vec<Vec<Result<(), OpError>>> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(parts.iter_mut())
-                    .map(|(shard, part)| scope.spawn(move || shard.write_batch(part)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard batch thread panicked")).collect()
-            })
-        } else {
-            self.shards.iter().zip(parts.iter_mut()).map(|(s, p)| s.write_batch(p)).collect()
-        };
-        let mut w = 0usize;
-        for part in &parts {
-            for &kvo in part {
-                batch[w] = kvo;
                 w += 1;
             }
         }

@@ -38,25 +38,6 @@ impl std::fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
-/// The write class of one element of a mixed [`PersistentIndex::write_batch`]
-/// batch. Each variant carries the semantics of the like-named point method;
-/// the value of a [`WriteOp::Remove`] element is ignored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WriteOp {
-    /// Conditional insert — [`OpError::AlreadyExists`] on a present key
-    /// ([`PersistentIndex::insert`]).
-    Insert,
-    /// Conditional update — [`OpError::NotFound`] on a missing key
-    /// ([`PersistentIndex::update`]).
-    Update,
-    /// Insert-or-update, never fails on presence
-    /// ([`PersistentIndex::upsert`]).
-    Upsert,
-    /// Remove — [`OpError::NotFound`] on a missing key
-    /// ([`PersistentIndex::remove`]).
-    Remove,
-}
-
 /// Structural statistics reported by [`PersistentIndex::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeStats {
@@ -177,40 +158,6 @@ pub trait PersistentIndex: Send + Sync {
     fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
         batch.sort_by_key(|p| p.0);
         batch.iter().map(|&(k, v)| self.insert(k, v)).collect()
-    }
-
-    /// Batched **mixed-class** write: applies every `(key, value, op)`
-    /// element with the point semantics its [`WriteOp`] names, reporting
-    /// each element's outcome individually.
-    ///
-    /// The batch is sorted in place (stably, by key) first; element `i` of
-    /// the returned vector reports on `batch[i]` *as the caller observes
-    /// the slice after the call*. Elements sharing a key are applied
-    /// as-if sequentially in their pre-sort submission order — so within
-    /// one batch, an insert followed by a remove of the same key leaves
-    /// the key absent and both report `Ok`, while two strict inserts make
-    /// the first win and the second report [`OpError::AlreadyExists`]
-    /// (the same first-dup-wins rule as [`PersistentIndex::insert_batch`]).
-    ///
-    /// The default implementation is a per-element dispatch loop over the
-    /// sorted batch. Trees with a batched write path (RNTree) override it
-    /// to amortise traversal, locking, and persists across same-leaf runs
-    /// of *all* write classes; a sharded index overrides it to partition
-    /// by shard and apply sub-batches in parallel. The flat-combining
-    /// group-commit layer ([`crate::GroupCommit`]) is built on this
-    /// method: it is the single entry point through which coalesced
-    /// epochs reach the batch pipeline.
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        batch.sort_by_key(|p| p.0);
-        batch
-            .iter()
-            .map(|&(k, v, op)| match op {
-                WriteOp::Insert => self.insert(k, v),
-                WriteOp::Update => self.update(k, v),
-                WriteOp::Upsert => self.upsert(k, v),
-                WriteOp::Remove => self.remove(k),
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -357,9 +304,6 @@ impl<P: PersistentIndex + ?Sized> PersistentIndex for Arc<P> {
     }
     fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
         (**self).insert_batch(batch)
-    }
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        (**self).write_batch(batch)
     }
     fn supports_var_keys(&self) -> bool {
         (**self).supports_var_keys()
@@ -523,41 +467,6 @@ mod tests {
         fn stats(&self) -> TreeStats {
             TreeStats::default()
         }
-    }
-
-    #[test]
-    fn default_write_batch_applies_submission_order_within_a_key() {
-        let t = Toy(std::sync::Mutex::new(Default::default()));
-        t.insert(1, 10).unwrap();
-        let mut batch = vec![
-            (2, 20, WriteOp::Insert),
-            (1, 11, WriteOp::Update),
-            (3, 30, WriteOp::Insert),
-            (3, 31, WriteOp::Insert), // in-batch duplicate: first wins
-            (2, 0, WriteOp::Remove),  // removes the insert above it
-            (9, 0, WriteOp::Remove),  // missing key
-            (4, 40, WriteOp::Upsert),
-        ];
-        let res = t.write_batch(&mut batch);
-        // The slice is stably sorted by key; results align with it.
-        let keys: Vec<Key> = batch.iter().map(|p| p.0).collect();
-        assert_eq!(keys, [1, 2, 2, 3, 3, 4, 9]);
-        assert_eq!(
-            res,
-            vec![
-                Ok(()),                       // update 1
-                Ok(()),                       // insert 2
-                Ok(()),                       // remove 2 (sees the insert)
-                Ok(()),                       // insert 3 (first occurrence)
-                Err(OpError::AlreadyExists),  // dup insert 3
-                Ok(()),                       // upsert 4
-                Err(OpError::NotFound),       // remove 9
-            ]
-        );
-        assert_eq!(t.find(1), Some(11));
-        assert_eq!(t.find(2), None);
-        assert_eq!(t.find(3), Some(30));
-        assert_eq!(t.find(4), Some(40));
     }
 
     #[test]

@@ -233,6 +233,32 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_toggle_produces_identical_results() {
+        // The probe only accelerates lookups: a tree without it must give
+        // the same answer to every find, hits and misses alike.
+        use index_common::PersistentIndex;
+        use nvm::SplitMix64;
+        use std::sync::Arc;
+        let build = |fingerprints| {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+            let cfg = crate::RnConfig { seq_traversal: true, fingerprints, ..Default::default() };
+            let tree = crate::RnTree::create(pool, cfg);
+            let mut rng = SplitMix64::new(1);
+            for _ in 0..3_000 {
+                let k = rng.next_key(3_000);
+                let _ = tree.insert(k, k * 3);
+            }
+            tree
+        };
+        let (on, off) = (build(true), build(false));
+        let mut rng = SplitMix64::new(7);
+        for _ in 0..2_000 {
+            let k = rng.next_key(6_000);
+            assert_eq!(on.find(k), off.find(k), "key {k}");
+        }
+    }
+
+    #[test]
     fn disabled_table_is_empty() {
         let t = FpTable::new(0, 1 << 20, LEAF_BLOCK, false);
         assert!(t.is_disabled());

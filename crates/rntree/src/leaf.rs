@@ -266,13 +266,7 @@ impl<'p> Leaf<'p> {
     }
 
     /// Persistent instruction #1 of a modify operation: flush the KV entry
-    /// (one line; issued *outside* the leaf lock).
-    pub(crate) fn persist_kv(&self, entry: usize) {
-        debug_assert!(!htm::in_transaction(), "flush inside an HTM transaction");
-        self.pool.persist(self.off + kv_off(entry), 16);
-    }
-
-    /// Asynchronous variant of [`Leaf::persist_kv`]: issues the CLWB and
+    /// (one line; issued *outside* the leaf lock). Issues the CLWB and
     /// returns immediately so the caller can overlap the media latency with
     /// the locked phase (§4.2). Must be completed with [`Leaf::drain_kv`]
     /// before the slot line is persisted — KV-before-slot durability order.
@@ -489,7 +483,7 @@ mod tests {
         let l = Leaf::at(&p, 1024);
         l.init_empty(u64::MAX, 0);
         l.write_kv(3, 77, 770);
-        l.persist_kv(3);
+        l.drain_kv(l.flush_kv_async(3));
         p.simulate_crash();
         assert_eq!(l.read_key(3), 77);
         assert_eq!(l.read_value(3), 770);

@@ -163,7 +163,6 @@ impl RnTree {
         } else {
             InnerIndex::new(leaf_ref(first))
         };
-        index.set_legacy_seq_descent(cfg.legacy_seq_descent);
         index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and
@@ -338,7 +337,6 @@ impl RnTree {
         } else {
             InnerIndex::new(leaf_ref(leftmost))
         };
-        index.set_legacy_seq_descent(cfg.legacy_seq_descent);
         index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and
@@ -477,7 +475,6 @@ impl RnTree {
         } else {
             InnerIndex::new(leaf_ref(leftmost))
         };
-        index.set_legacy_seq_descent(cfg.legacy_seq_descent);
         index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use htm::HtmStatsSnapshot;
 use index_common::{
     leaf_ref, InnerIndex, Key, KeyBuf, KeyCodec, KeyRef, OpError, PersistentIndex, TreeStats,
-    U64Key, Value, WriteOp,
+    U64Key, Value,
 };
 use nvm::{BlockAllocator, PmemPool, RootTable};
 use obs::{EventKind, HeatSketch, ObsSource, Phase, PhaseTimers, Section};
@@ -139,26 +139,6 @@ pub struct RnConfig {
     /// and recovery rebuilds the table. Off reproduces the paper's plain
     /// binary-search leaves (useful as an ablation baseline).
     pub fingerprints: bool,
-    /// Issue prefetch hints for a leaf's header/slot/KV lines (and its
-    /// fingerprint stripe) as soon as the target leaf is known, so the
-    /// misses overlap the persist spin or lock acquisition. Hints only —
-    /// no semantic effect; off restores the seed's memory behaviour for
-    /// before/after benchmarking.
-    pub leaf_prefetch: bool,
-    /// Overlap a modify's KV-entry flush with the locked phase (§4.2):
-    /// issue the CLWB before taking the leaf lock and fence only right
-    /// before the slot line is persisted, so the lock/search/slot-edit
-    /// work runs while the line drains to media. Durability order (KV
-    /// entry before slot line) and the Table 1 persist counts are
-    /// unchanged; off restores the seed's synchronous flush-then-lock
-    /// sequence for before/after benchmarking.
-    pub async_flush: bool,
-    /// Run the pre-rewrite (branchy, prefetch-free) sequential descent in
-    /// this tree's [`InnerIndex`]. Benchmark-only before/after switch; a
-    /// per-tree config field (not a process global) so co-resident trees —
-    /// e.g. shards of an `index_common::ShardedIndex` — can never flip each
-    /// other's descent path.
-    pub legacy_seq_descent: bool,
     /// Use the fine-grained (address-striped) HTM fallback tier: a
     /// conflict-driven fallback locks only the stripes covering its
     /// observed footprint instead of the whole domain, so fallbacks on
@@ -201,9 +181,6 @@ impl Default for RnConfig {
             seq_traversal: false,
             journal_slots: 64,
             fingerprints: true,
-            leaf_prefetch: true,
-            async_flush: true,
-            legacy_seq_descent: false,
             striped_fallback: true,
             cache_frames: 1024,
             varlen_leaves: false,
@@ -512,10 +489,8 @@ impl RnTree {
             // Warm the lines the locked phase will touch (slot arrays, the
             // live KV entries a search may compare, the fingerprint stripe)
             // while the persist below spins out the media latency.
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(entry);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot(entry);
+            self.fps.prefetch_stripe(leaf.off());
 
             // Steps 2–3 of §4.2: write and flush the log entry with no lock
             // held. Parallel writers flush concurrently. The fingerprint is
@@ -531,14 +506,7 @@ impl RnTree {
             // spins out whatever latency is left. The entry is exclusively
             // ours and never rewritten before the fence, so the durable
             // value is well-defined (see `PmemPool::flush_async`).
-            let kv_flush = if self.cfg.async_flush {
-                Some(leaf.flush_kv_async(entry))
-            } else {
-                clock.mark();
-                leaf.persist_kv(entry);
-                clock.lap(&self.timers, Phase::LogFlush);
-                None
-            };
+            let kv_flush = leaf.flush_kv_async(entry);
 
             // The critical-section span wraps lock→unlock inclusive of the
             // nested drain/slot-persist spans; the report subtracts them.
@@ -550,9 +518,7 @@ impl RnTree {
             // (no split completes while it is undecided), so it is simply
             // wasted and counted as decided.
             if key > leaf.fence() {
-                if let Some(h) = kv_flush {
-                    leaf.drain_kv(h);
-                }
+                leaf.drain_kv(kv_flush);
                 self.decide_and_maybe_split(leaf, false);
                 leaf.unlock(false);
                 self.wasted.fetch_add(1, Ordering::Relaxed);
@@ -601,12 +567,10 @@ impl RnTree {
             // The fence for persistent instruction #1: the KV entry must be
             // durable before the slot line can be (publication order). On
             // the reject paths this is where the wasted entry's flush is
-            // accounted, exactly like the seed's synchronous persist.
-            if let Some(h) = kv_flush {
-                clock.mark();
-                leaf.drain_kv(h);
-                clock.lap(&self.timers, Phase::LogFlush);
-            }
+            // accounted, exactly like a synchronous persist.
+            clock.mark();
+            leaf.drain_kv(kv_flush);
+            clock.lap(&self.timers, Phase::LogFlush);
 
             let applied = if let Decision::Applied(slot) = &decision {
                 // Persistent instruction #2: the slot line. Atomic thanks
@@ -988,10 +952,8 @@ impl RnTree {
             let leaf = Leaf::at(&self.pool, self.traverse(key));
             // Overlap the slot-array and fingerprint-stripe misses with the
             // header load that `stable_version` is about to issue.
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(0);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot(0);
+            self.fps.prefetch_stripe(leaf.off());
             // Algorithm 4: stable version before, snapshot, validate after.
             let v1 = leaf.stable_version(self.reader_waits_lock());
             if key > leaf.fence() {
@@ -1117,10 +1079,8 @@ impl RnTree {
             let leaf = Leaf::at(&self.pool, self.traverse(key));
             // Overlap the slot-array and fingerprint-stripe misses with the
             // lock RMW on the (also likely cold) header line.
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(0);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot(0);
+            self.fps.prefetch_stripe(leaf.off());
             leaf.lock();
             if key > leaf.fence() {
                 leaf.unlock(false);
@@ -1492,35 +1452,6 @@ impl RnTree {
     /// reported key is durable when the call returns. A crash mid-batch
     /// recovers to a run-granular prefix of the sorted batch.
     pub fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        // Route through the mixed-class executor: a pure-insert batch takes
-        // exactly the historical path (same runs, same persist shape). Both
-        // sorts are stable by key over the same initial order, so copying
-        // the sorted ops back gives the caller the permutation the contract
-        // promises, with results aligned index-for-index.
-        let mut ops: Vec<(Key, Value, WriteOp)> =
-            batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
-        let results = RnTree::write_batch(self, &mut ops);
-        for (dst, src) in batch.iter_mut().zip(&ops) {
-            *dst = (src.0, src.1);
-        }
-        results
-    }
-
-    /// Batched mixed-class write ([`PersistentIndex::write_batch`]
-    /// semantics): sorts the batch stably in place, then walks it in
-    /// same-leaf runs exactly like [`RnTree::insert_batch`] — one leaf
-    /// lock, one coalesced KV-line persist (when any op dirtied a KV
-    /// line), one slot-line persist per touched leaf, whatever mix of
-    /// inserts, updates, upserts and removes the run carries. Elements
-    /// sharing a key compose in submission order against the in-register
-    /// slot image, so an insert+remove pair in one batch leaves the key
-    /// absent and both report `Ok`.
-    ///
-    /// A run containing **only** removes dirties no KV lines and commits
-    /// with a *single* persistent instruction (the slot-line persist):
-    /// `r` coalesced removes on one leaf cost 1 persist where the per-op
-    /// path costs `r`.
-    pub fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
         batch.sort_by_key(|p| p.0);
         let mut results: Vec<Result<(), OpError>> = vec![Ok(()); batch.len()];
         let mut i = 0usize;
@@ -1528,10 +1459,8 @@ impl RnTree {
         while i < batch.len() {
             let key = batch[i].0;
             let leaf = Leaf::at(&self.pool, self.traverse(key));
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(0);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot(0);
+            self.fps.prefetch_stripe(leaf.off());
             leaf.lock();
             if key > leaf.fence() {
                 leaf.unlock(false);
@@ -1543,8 +1472,7 @@ impl RnTree {
             // following key up to the fence belongs here too.
             let fence = leaf.fence();
             let run_len = batch[i..].partition_point(|p| p.0 <= fence);
-            let consumed =
-                self.apply_run(leaf, &batch[i..i + run_len], &mut results[i..i + run_len]);
+            let consumed = self.apply_run(leaf, &batch[i..i + run_len], &mut results[i..i + run_len]);
             if consumed > 0 {
                 starved = 0;
                 i += consumed;
@@ -1565,15 +1493,14 @@ impl RnTree {
         results
     }
 
-    /// Applies one run of sorted mixed-class ops to `leaf` under its
-    /// (already held) lock; unlocks before returning. Returns the number
-    /// of elements consumed (applied or rejected by their conditional);
-    /// on overflow the remainder is left for the caller to retry after
-    /// the split this run triggers.
+    /// Applies one run of sorted keys to `leaf` under its (already held)
+    /// lock; unlocks before returning. Returns the number of keys consumed
+    /// (applied or rejected as duplicates); on overflow the remainder is
+    /// left for the caller to retry after the split this run triggers.
     fn apply_run(
         &self,
         leaf: Leaf<'_>,
-        run: &[(Key, Value, WriteOp)],
+        run: &[(Key, Value)],
         results: &mut [Result<(), OpError>],
     ) -> usize {
         // Layout dispatch, same shape as `edit_any`: the tag is stable
@@ -1586,78 +1513,31 @@ impl RnTree {
         let mut decided = 0u64;
         let mut consumed = 0usize;
         let mut changed = false;
-        for (ri, &(k, v, op)) in run.iter().enumerate() {
-            // Locate `k` in the in-register image. Edits land in that image
-            // before the next element is examined, so elements sharing a
-            // key compose in submission (stable-sort) order.
-            let mut hit_probe = None;
-            let mut hit_pos = None;
-            let mut ins_pos = None;
-            if hashed {
+        for (ri, &(k, v)) in run.iter().enumerate() {
+            // `Ok(())` = absent, carrying the sorted insertion point when
+            // the layout needs one.
+            let found: Result<Option<usize>, ()> = if hashed {
                 let fp = fp_hash(k);
                 let mut steps = 0u32;
-                hit_probe = dir.find(
-                    fp,
-                    |e| self.fps.check(leaf.off(), e, fp) && leaf.read_key(e) == k,
-                    &mut steps,
-                );
+                match dir.find(fp, |e| self.fps.check(leaf.off(), e, fp) && leaf.read_key(e) == k, &mut steps)
+                {
+                    Some(_) => Err(()),
+                    None => Ok(None),
+                }
             } else {
                 match leaf.search(&slot, k) {
-                    Ok(p) => hit_pos = Some(p),
-                    Err(p) => ins_pos = Some(p),
+                    Ok(_) => Err(()),
+                    Err(pos) => Ok(Some(pos)),
                 }
-            }
-            let present = hit_probe.is_some() || hit_pos.is_some();
-            match op {
-                WriteOp::Remove => {
-                    // Slot-image-only edit: no log entry, no KV line. A run
-                    // of removes shares the single slot-line persist below.
-                    if present {
-                        if hashed {
-                            let p = hit_probe.expect("hashed hit carries a probe");
-                            dir.remove_at(p.bucket, |e| HashDir::home(fp_hash(leaf.read_key(e))));
-                        } else {
-                            slot.remove_at(hit_pos.expect("sorted hit carries a position"));
-                        }
-                        changed = true;
-                    } else {
-                        results[ri] = Err(OpError::NotFound);
-                    }
-                    consumed += 1;
-                }
-                WriteOp::Insert if present => {
+            };
+            match found {
+                Err(()) => {
                     // Present in the leaf (or earlier in this run): strict
                     // insert rejects without consuming a log entry.
                     results[ri] = Err(OpError::AlreadyExists);
                     consumed += 1;
                 }
-                WriteOp::Update if !present => {
-                    results[ri] = Err(OpError::NotFound);
-                    consumed += 1;
-                }
-                WriteOp::Update | WriteOp::Upsert if present => {
-                    // Overwrite through a fresh log entry, exactly the
-                    // per-op `modify` shape (the old entry becomes garbage
-                    // the next compaction reclaims).
-                    let Some(entry) = leaf.alloc_entry() else {
-                        break; // log area exhausted; split, then retry
-                    };
-                    decided += 1;
-                    leaf.write_kv(entry, k, v);
-                    if self.cfg.fingerprints {
-                        self.fps.set(leaf.off(), entry, fp_hash(k));
-                    }
-                    dirty.push((leaf.off() + kv_off(entry), 16));
-                    if hashed {
-                        dir.set_probe(hit_probe.expect("hashed hit carries a probe"), entry);
-                    } else {
-                        slot.set_entry(hit_pos.expect("sorted hit carries a position"), entry);
-                    }
-                    changed = true;
-                    consumed += 1;
-                }
-                WriteOp::Insert | WriteOp::Upsert => {
-                    // Absent: fresh insert.
+                Ok(pos) => {
                     let full = if hashed { dir.len() == MAX_LIVE } else { slot.len() == MAX_LIVE };
                     if full {
                         // Slot array full. Deliberately waste one log entry:
@@ -1684,12 +1564,11 @@ impl RnTree {
                         let ok = dir.insert(fp_hash(k), entry);
                         debug_assert!(ok, "directory had room");
                     } else {
-                        slot.insert_at(ins_pos.expect("sorted path carries a position"), entry);
+                        slot.insert_at(pos.expect("sorted path carries a position"), entry);
                     }
                     changed = true;
                     consumed += 1;
                 }
-                WriteOp::Update => unreachable!("guarded arms above cover update"),
             }
         }
         if hashed {
@@ -1699,11 +1578,7 @@ impl RnTree {
             // Persistent instruction #1 for the whole run: the dirtied KV
             // lines, coalesced (entries sharing a line flush once), durable
             // strictly before the slot line below (publication order).
-            // A pure-remove run dirties no KV lines and skips straight to
-            // the slot persist — one persistent instruction total.
-            if !dirty.is_empty() {
-                self.pool.persist_many(&dirty);
-            }
+            self.pool.persist_many(&dirty);
             // One slot-array edit for the whole run. Transactional even
             // under the lock: single-slot readers snapshot this line
             // optimistically and must never observe a torn buffer.
@@ -1958,28 +1833,6 @@ impl PersistentIndex for RnTree {
             return self.vinsert_batch(&mut kb);
         }
         RnTree::insert_batch(self, batch)
-    }
-
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        if self.cfg.varlen_leaves {
-            // Var leaves have no mixed-class run executor yet: sort (the
-            // contract) and dispatch each element through the byte-key
-            // point paths in order.
-            batch.sort_by_key(|p| p.0);
-            return batch
-                .iter()
-                .map(|&(k, v, op)| {
-                    let kb = U64Key::encode(k);
-                    match op {
-                        WriteOp::Insert => self.vmodify(kb.as_slice(), v, WriteMode::InsertStrict),
-                        WriteOp::Update => self.vmodify(kb.as_slice(), v, WriteMode::UpdateStrict),
-                        WriteOp::Upsert => self.vmodify(kb.as_slice(), v, WriteMode::Upsert),
-                        WriteOp::Remove => self.vremove(kb.as_slice()),
-                    }
-                })
-                .collect();
-        }
-        RnTree::write_batch(self, batch)
     }
 
     fn supports_var_keys(&self) -> bool {

@@ -10,8 +10,8 @@
 //!   the u64 path flushes its 16-byte KV entry. Persistent instruction #2
 //!   is the slot-array line, unchanged. The Table 1 persist counts per
 //!   operation are identical to the u64 layout.
-//! * The var path always uses the synchronous coalesced flush —
-//!   `RnConfig::async_flush` is a u64-path knob; a record can span
+//! * The var path uses the synchronous coalesced flush where the u64
+//!   path overlaps its KV flush with the locked phase: a record can span
 //!   several lines, and `persist_many`'s single fence is already the
 //!   batched equivalent.
 //! * The prefix/fence metadata a writer needs is read *after* its log
@@ -106,10 +106,8 @@ impl RnTree {
                 continue;
             };
 
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot();
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot();
+            self.fps.prefetch_stripe(leaf.off());
 
             // The allocated (undecided) entry freezes the fence metadata —
             // see module docs — so this prefix read is stable until we
@@ -413,10 +411,8 @@ impl RnTree {
         }
         loop {
             let leaf = VarLeaf::at(&self.pool, self.vtraverse(key));
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot();
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot();
+            self.fps.prefetch_stripe(leaf.off());
             let v1 = leaf.stable_version(self.reader_waits_lock());
             if leaf.key_above_fence(key) {
                 self.note_retry();
@@ -507,10 +503,8 @@ impl RnTree {
         }
         loop {
             let leaf = VarLeaf::at(&self.pool, self.vtraverse(key));
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot();
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot();
+            self.fps.prefetch_stripe(leaf.off());
             leaf.lock();
             if leaf.key_above_fence(key) {
                 leaf.unlock(false);
@@ -695,10 +689,8 @@ impl RnTree {
         while i < batch.len() {
             let key = batch[i].0;
             let leaf = VarLeaf::at(&self.pool, self.vtraverse(key.as_slice()));
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot();
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            leaf.prefetch_hot();
+            self.fps.prefetch_stripe(leaf.off());
             leaf.lock();
             if leaf.key_above_fence(key.as_slice()) {
                 leaf.unlock(false);

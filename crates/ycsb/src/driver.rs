@@ -24,24 +24,6 @@ use crate::hist::Histogram;
 use crate::keygen::KeyShape;
 use crate::workload::{OpKind, WorkloadSpec};
 
-/// Arrival-process shape for the open-loop driver.
-///
-/// Open-loop latency is only meaningful relative to an arrival schedule;
-/// this picks the schedule. `Fixed` is the paper's Figure-9 methodology
-/// (one request every `1/rate` seconds). `Poisson` draws exponential
-/// inter-arrival gaps with the same mean rate, producing the bursty
-/// arrivals that group commit is designed to absorb: bursts deepen the
-/// combining queue (bigger epochs, fewer fences), while lulls let the
-/// flush deadline bound tail latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arrivals {
-    /// Evenly spaced arrivals: one request per `1/rate` interval.
-    Fixed,
-    /// Memoryless (Poisson-process) arrivals: exponential inter-arrival
-    /// gaps with mean `1/rate`, drawn from the worker's deterministic RNG.
-    Poisson,
-}
-
 /// Result of a driver run.
 #[derive(Debug)]
 pub struct LoopResult {
@@ -62,12 +44,6 @@ pub struct LoopResult {
     /// resampling until a non-failing op comes up — would silently turn an
     /// insert-heavy workload read-heavy as the pool fills).
     pub pool_exhausted: u64,
-    /// Queue wait, nanoseconds: how long each request sat past its
-    /// scheduled arrival before the worker actually started issuing it.
-    /// Always empty for closed-loop runs (there is no schedule to be late
-    /// against); for open-loop runs this isolates the queueing component
-    /// of the scheduled-arrival latency.
-    pub queue_wait: Histogram,
 }
 
 impl LoopResult {
@@ -81,26 +57,13 @@ impl LoopResult {
     }
 }
 
+#[derive(Default)]
 struct WorkerOut {
     ops: u64,
     pool_exhausted: u64,
     read: Histogram,
     update: Histogram,
     other: Histogram,
-    queue_wait: Histogram,
-}
-
-impl WorkerOut {
-    fn new() -> WorkerOut {
-        WorkerOut {
-            ops: 0,
-            pool_exhausted: 0,
-            read: Histogram::new(),
-            update: Histogram::new(),
-            other: Histogram::new(),
-            queue_wait: Histogram::new(),
-        }
-    }
 }
 
 /// Issues one operation. Conditional-write failures (`AlreadyExists`,
@@ -200,7 +163,7 @@ pub fn run_closed_loop_k(
                 scope.spawn(move || {
                     let tree = &*tree;
                     let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B9));
-                    let mut out = WorkerOut::new();
+                    let mut out = WorkerOut::default();
                     let mut scan_buf = Vec::new();
                     loop {
                         let t0 = Instant::now();
@@ -256,7 +219,7 @@ pub fn run_closed_loop(
                 scope.spawn(move || {
                     let tree = &*tree;
                     let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B9));
-                    let mut out = WorkerOut::new();
+                    let mut out = WorkerOut::default();
                     let mut scan_buf = Vec::new();
                     loop {
                         let t0 = Instant::now();
@@ -289,30 +252,12 @@ pub fn run_closed_loop(
 /// Runs `threads` open-loop workers for `duration`, each issuing
 /// `rate_per_worker` requests per second on a fixed schedule. Latency is
 /// measured from the scheduled arrival, so it includes queueing delay
-/// when the system cannot keep up. Equivalent to
-/// [`run_open_loop_arrivals`] with [`Arrivals::Fixed`].
+/// when the system cannot keep up.
 pub fn run_open_loop(
     tree: &Arc<dyn PersistentIndex>,
     spec: &WorkloadSpec,
     threads: usize,
     rate_per_worker: f64,
-    duration: Duration,
-    seed: u64,
-) -> LoopResult {
-    run_open_loop_arrivals(tree, spec, threads, rate_per_worker, Arrivals::Fixed, duration, seed)
-}
-
-/// Open-loop driver with a selectable arrival process (see [`Arrivals`]).
-/// Each worker issues `rate_per_worker` requests per second on average;
-/// per-op latency is measured from the *scheduled* arrival (queueing
-/// delay included) and the queueing component alone is additionally
-/// recorded in [`LoopResult::queue_wait`].
-pub fn run_open_loop_arrivals(
-    tree: &Arc<dyn PersistentIndex>,
-    spec: &WorkloadSpec,
-    threads: usize,
-    rate_per_worker: f64,
-    arrivals: Arrivals,
     duration: Duration,
     seed: u64,
 ) -> LoopResult {
@@ -332,7 +277,7 @@ pub fn run_open_loop_arrivals(
                 scope.spawn(move || {
                     let tree = &*tree;
                     let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x517C_C1B7));
-                    let mut out = WorkerOut::new();
+                    let mut out = WorkerOut::default();
                     let mut scan_buf = Vec::new();
                     // Desynchronise workers' schedules.
                     let mut scheduled = start + interval.mul_f64(tid as f64 / threads as f64);
@@ -354,8 +299,6 @@ pub fn run_open_loop_arrivals(
                                 std::hint::spin_loop();
                             }
                         }
-                        let issue = Instant::now();
-                        out.queue_wait.record((issue - scheduled).as_nanos() as u64);
                         let kind = spec.mix.sample(&mut rng);
                         let key = keygen.next_key(&mut rng);
                         if execute(tree, kind, key, spec.scan_len, &mut scan_buf, fresh).is_err() {
@@ -368,18 +311,7 @@ pub fn run_open_loop_arrivals(
                             OpKind::Update => out.update.record(lat),
                             _ => out.other.record(lat),
                         }
-                        scheduled += match arrivals {
-                            Arrivals::Fixed => interval,
-                            Arrivals::Poisson => {
-                                // Exponential gap with mean `interval`:
-                                // -ln(1-u)/rate, u ∈ [0,1). Clamp the tail
-                                // at 20× the mean so one extreme draw can't
-                                // idle a worker for the rest of the run.
-                                let u = rng.next_f64();
-                                let gap = -(1.0 - u).ln();
-                                interval.mul_f64(gap.clamp(0.0, 20.0))
-                            }
-                        };
+                        scheduled += interval;
                     }
                     out
                 })
@@ -399,7 +331,6 @@ fn merge(outs: Vec<WorkerOut>, elapsed: Duration) -> LoopResult {
         update_lat: Histogram::new(),
         other_lat: Histogram::new(),
         pool_exhausted: 0,
-        queue_wait: Histogram::new(),
     };
     for o in outs {
         res.ops += o.ops;
@@ -407,7 +338,6 @@ fn merge(outs: Vec<WorkerOut>, elapsed: Duration) -> LoopResult {
         res.read_lat.merge(&o.read);
         res.update_lat.merge(&o.update);
         res.other_lat.merge(&o.other);
-        res.queue_wait.merge(&o.queue_wait);
     }
     res
 }
@@ -505,40 +435,6 @@ mod tests {
         // An unloaded in-memory map must answer far faster than the
         // inter-arrival time.
         assert!(r.read_lat.quantile(0.5) < 1_000_000, "{:?}", r.read_lat);
-    }
-
-    #[test]
-    fn poisson_arrivals_hit_the_mean_rate_and_record_queue_wait() {
-        let idx = arc(MapIndex::new(100));
-        let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
-        // 2 workers × 500 req/s × 0.3 s ≈ 300 ops on average; the Poisson
-        // process has the same mean, so a generous band still holds.
-        let r = run_open_loop_arrivals(
-            &idx,
-            &spec,
-            2,
-            500.0,
-            Arrivals::Poisson,
-            Duration::from_millis(300),
-            7,
-        );
-        assert!(
-            (120..=520).contains(&(r.ops as i64)),
-            "poisson open loop issued {} ops",
-            r.ops
-        );
-        // Every issued op records its queue wait, and an unloaded map
-        // keeps the median wait tiny.
-        assert_eq!(r.queue_wait.count(), r.ops);
-        assert!(r.queue_wait.quantile(0.5) < 1_000_000, "{:?}", r.queue_wait);
-    }
-
-    #[test]
-    fn closed_loop_has_no_queue_wait_samples() {
-        let idx = arc(MapIndex::new(100));
-        let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
-        let r = run_closed_loop(&idx, &spec, 1, Duration::from_millis(50), 9);
-        assert_eq!(r.queue_wait.count(), 0);
     }
 
     #[test]

@@ -27,10 +27,7 @@ mod hist;
 mod keygen;
 mod workload;
 
-pub use driver::{
-    run_closed_loop, run_closed_loop_k, run_open_loop, run_open_loop_arrivals, Arrivals,
-    LoopResult,
-};
+pub use driver::{run_closed_loop, run_closed_loop_k, run_open_loop, LoopResult};
 pub use hist::Histogram;
 pub use keygen::{KeyDist, KeyGen, KeyShape};
 pub use workload::{Mix, OpKind, WorkloadSpec};

@@ -130,7 +130,7 @@ fn unacknowledged_entry_is_invisible() {
     }
     // Forge a half-finished insert: KV entry written and persisted (steps
     // 1–3 of §4.2) but the slot array never updated — exactly the state a
-    // crash between `persist_kv` and the slot flush leaves behind.
+    // crash between the KV flush and the slot flush leaves behind.
     let leftmost = tree.leftmost();
     let kv_area = leftmost + 192;
     // Entry index 63 is unallocated in a 100-key tree's leftmost leaf.

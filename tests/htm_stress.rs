@@ -61,12 +61,14 @@ fn transfers_preserve_total_under_contention() {
     let accounts: Arc<Vec<TmWord>> =
         Arc::new((0..ACCOUNTS).map(|_| TmWord::new(TOTAL / ACCOUNTS as u64)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    let any_moved = Arc::new(AtomicBool::new(false));
 
     let mut writers = Vec::new();
     for t in 0..3u64 {
         let domain = Arc::clone(&domain);
         let accounts = Arc::clone(&accounts);
         let stop = Arc::clone(&stop);
+        let any_moved = Arc::clone(&any_moved);
         writers.push(std::thread::spawn(move || {
             let mut x = t + 1;
             let mut moved = 0u64;
@@ -88,14 +90,19 @@ fn transfers_preserve_total_under_contention() {
                     txn.write(&accounts[to], g + amount)
                 });
                 moved += 1;
+                any_moved.store(true, Ordering::Relaxed);
             }
             moved
         }));
     }
 
     // Reader: transactional snapshot of all accounts must always sum to
-    // TOTAL (the whole point of atomic multi-word visibility).
-    for _ in 0..2_000 {
+    // TOTAL (the whole point of atomic multi-word visibility). It keeps
+    // reading past 2,000 snapshots until some writer has been scheduled,
+    // so the reads overlap transfers on hosts with few cores.
+    let mut snapshots = 0u64;
+    while snapshots < 2_000 || !any_moved.load(Ordering::Relaxed) {
+        snapshots += 1;
         let sum = domain.atomic(|txn| {
             let mut s = 0u64;
             for a in accounts.iter() {
@@ -184,6 +191,110 @@ fn mixed_tx_and_nontx_counters_are_exact() {
         h.join().unwrap();
     }
     assert_eq!(word.load_direct(), 8_000);
+}
+
+/// One round of the race above against `domain`: two threads of
+/// `fetch_add_nontx` and two of transactional increments, 2,000 each.
+/// Returns the final counter value; every increment landing gives 8,000.
+fn nontx_race(domain: &Arc<HtmDomain>) -> u64 {
+    let word = Arc::new(TmWord::new(0));
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let domain = Arc::clone(domain);
+            let word = Arc::clone(&word);
+            std::thread::spawn(move || {
+                for _ in 0..2_000 {
+                    if t % 2 == 0 {
+                        word.fetch_add_nontx(1);
+                    } else {
+                        domain.atomic(|txn| {
+                            let v = txn.read(&word)?;
+                            txn.write(&word, v + 1)
+                        });
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    word.load_direct()
+}
+
+/// The global (irrevocable) tier must not lose a non-transactional write
+/// that lands between its read and its write of the same word. Zero
+/// capacity sends every transaction there.
+#[test]
+fn global_fallback_does_not_lose_nontx_updates() {
+    let domain = Arc::new(HtmDomain::with_options(
+        TxnOptions {
+            read_cap_lines: 0,
+            write_cap_lines: 0,
+        },
+        RetryPolicy::default(),
+    ));
+    for rep in 0..20 {
+        assert_eq!(nontx_race(&domain), 8_000, "lost update, repetition {rep}");
+    }
+    assert_eq!(domain.stats().snapshot().fallbacks_global, 20 * 4_000);
+}
+
+/// The striped tier must not lose a non-transactional write either. A
+/// zero conflict budget sends every conflicted transaction to a fallback
+/// on its first abort, and one with a known footprint to the striped
+/// tier.
+#[test]
+fn striped_fallback_does_not_lose_nontx_updates() {
+    let domain = Arc::new(HtmDomain::with_options(
+        TxnOptions::default(),
+        RetryPolicy {
+            max_retries: 0,
+            adaptive: false,
+        },
+    ));
+    for rep in 0..20 {
+        assert_eq!(nontx_race(&domain), 8_000, "lost update, repetition {rep}");
+    }
+}
+
+/// Tier-2 bodies hold every version-lock entry they touch until they
+/// end, and the lock table is process-wide. Two domains' tier-2 bodies
+/// taking the same two words in opposite orders must neither deadlock
+/// nor lose an increment.
+#[test]
+fn global_fallbacks_of_two_domains_do_not_deadlock() {
+    let forced = || {
+        Arc::new(HtmDomain::with_options(
+            TxnOptions {
+                read_cap_lines: 0,
+                write_cap_lines: 0,
+            },
+            RetryPolicy::default(),
+        ))
+    };
+    let domains = [forced(), forced()];
+    let words = Arc::new([TmWord::new(0), TmWord::new(0)]);
+    let handles: Vec<_> = (0..4usize)
+        .map(|t| {
+            let domain = Arc::clone(&domains[t % 2]);
+            let words = Arc::clone(&words);
+            std::thread::spawn(move || {
+                let (first, second) = (&words[t % 2], &words[1 - t % 2]);
+                for _ in 0..2_000 {
+                    domain.atomic(|txn| {
+                        txn.update(first, |v| v + 1)?;
+                        txn.update(second, |v| v + 1)?;
+                        Ok(())
+                    });
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!((words[0].load_direct(), words[1].load_direct()), (8_000, 8_000));
 }
 
 /// Read-only transactions are consistent even while a writer keeps two

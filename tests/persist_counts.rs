@@ -27,47 +27,42 @@ fn persists(pool: &PmemPool) -> u64 {
 fn modify_persist_counts_are_exact_in_every_variant() {
     for fingerprints in [true, false] {
         for dual in [true, false] {
-            for async_flush in [true, false] {
-                for cache_frames in [0usize, 64] {
-                    let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-                    let cfg = RnConfig {
-                        dual_slot: dual,
-                        fingerprints,
-                        async_flush,
-                        journal_slots: 2,
-                        cache_frames,
-                        ..RnConfig::default()
-                    };
-                    let tree = RnTree::create(Arc::clone(&pool), cfg);
-                    let tag = format!(
-                        "dual={dual} fp={fingerprints} async={async_flush} cache={cache_frames}"
-                    );
+            for cache_frames in [0usize, 64] {
+                let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+                let cfg = RnConfig {
+                    dual_slot: dual,
+                    fingerprints,
+                    journal_slots: 2,
+                    cache_frames,
+                    ..RnConfig::default()
+                };
+                let tree = RnTree::create(Arc::clone(&pool), cfg);
+                let tag = format!("dual={dual} fp={fingerprints} cache={cache_frames}");
 
-                    // 20 inserts + 10 updates + 5 removes allocate 30 log entries
-                    // in one 63-entry leaf: no split/compaction can fire, so every
-                    // op must show its exact steady-state cost.
-                    for k in 1..=20u64 {
-                        let before = persists(&pool);
-                        tree.insert(k, k * 3).unwrap();
-                        assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
-                    }
-                    for k in 1..=10u64 {
-                        let before = persists(&pool);
-                        tree.update(k, k * 3 + 1).unwrap();
-                        assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
-                    }
-                    for k in 16..=20u64 {
-                        let before = persists(&pool);
-                        tree.remove(k).unwrap();
-                        assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
-                    }
+                // 20 inserts + 10 updates + 5 removes allocate 30 log entries
+                // in one 63-entry leaf: no split/compaction can fire, so every
+                // op must show its exact steady-state cost.
+                for k in 1..=20u64 {
                     let before = persists(&pool);
-                    assert_eq!(tree.find(5), Some(16));
-                    assert_eq!(tree.find(12), Some(36));
-                    assert_eq!(tree.find(18), None);
-                    assert_eq!(persists(&pool) - before, 0, "find persisted ({tag})");
-                    tree.verify_invariants().unwrap();
+                    tree.insert(k, k * 3).unwrap();
+                    assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
                 }
+                for k in 1..=10u64 {
+                    let before = persists(&pool);
+                    tree.update(k, k * 3 + 1).unwrap();
+                    assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
+                }
+                for k in 16..=20u64 {
+                    let before = persists(&pool);
+                    tree.remove(k).unwrap();
+                    assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
+                }
+                let before = persists(&pool);
+                assert_eq!(tree.find(5), Some(16));
+                assert_eq!(tree.find(12), Some(36));
+                assert_eq!(tree.find(18), None);
+                assert_eq!(persists(&pool) - before, 0, "find persisted ({tag})");
+                tree.verify_invariants().unwrap();
             }
         }
     }
@@ -393,76 +388,6 @@ fn varlen_failed_conditionals_do_not_touch_the_slot_line() {
     let before = persists(&pool);
     assert!(tree.remove_k(b"omega").is_err());
     assert_eq!(persists(&pool) - before, 0, "missing remove_k");
-}
-
-/// Mixed-class batch runs (`write_batch`) keep the coalesced contract in
-/// both leaf layouts and both slot variants:
-///
-/// * a **pure-remove run** edits only the slot image — no log entries, no
-///   dirty KV lines — so it costs exactly **1 persist per touched leaf**;
-/// * a **mixed run** (inserts/updates riding with removes) flushes its
-///   coalesced KV lines (1) plus the slot publish (1) — **2 per leaf**,
-///   the same as an all-insert run, i.e. removes ride along for free;
-/// * a run of removes that all **miss** changes nothing and persists
-///   nothing.
-#[test]
-fn write_batch_remove_runs_cost_one_persist_per_leaf() {
-    use index_common::WriteOp;
-    for policy in [LeafPolicy::Sorted, LeafPolicy::Hash] {
-        for dual in [true, false] {
-            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-            let cfg = RnConfig {
-                leaf_policy: policy,
-                dual_slot: dual,
-                journal_slots: 2,
-                ..RnConfig::default()
-            };
-            let tree = RnTree::create(Arc::clone(&pool), cfg);
-            let tag = format!("policy={policy:?} dual={dual}");
-            // Seed one leaf well below capacity so no split can fire.
-            for k in 1..=30u64 {
-                tree.insert(k, k * 2).unwrap();
-            }
-
-            // Pure-remove run: 10 removes, one leaf, one persist.
-            let mut rm: Vec<(u64, u64, WriteOp)> =
-                (1..=10).map(|k| (k, 0, WriteOp::Remove)).collect();
-            let before = persists(&pool);
-            assert!(tree.write_batch(&mut rm).into_iter().all(|r| r.is_ok()), "{tag}");
-            assert_eq!(persists(&pool) - before, 1, "pure-remove run ({tag})");
-
-            // All-miss remove run: nothing changed, nothing persisted.
-            let mut miss: Vec<(u64, u64, WriteOp)> =
-                (100..=110).map(|k| (k, 0, WriteOp::Remove)).collect();
-            let before = persists(&pool);
-            assert!(tree.write_batch(&mut miss).into_iter().all(|r| r.is_err()), "{tag}");
-            assert_eq!(persists(&pool) - before, 0, "all-miss remove run ({tag})");
-
-            // Mixed run on the same leaf: fresh inserts + more removes +
-            // an update — the removes ride the insert run's 2 persists.
-            let mut mixed: Vec<(u64, u64, WriteOp)> = vec![
-                (31, 31, WriteOp::Insert),
-                (11, 0, WriteOp::Remove),
-                (32, 32, WriteOp::Insert),
-                (12, 0, WriteOp::Remove),
-                (13, 130, WriteOp::Update),
-                (33, 33, WriteOp::Upsert),
-            ];
-            let before = persists(&pool);
-            assert!(tree.write_batch(&mut mixed).into_iter().all(|r| r.is_ok()), "{tag}");
-            assert_eq!(persists(&pool) - before, 2, "mixed run ({tag})");
-
-            // Final state reflects every class.
-            for k in 1..=12u64 {
-                assert_eq!(tree.find(k), None, "removed {k} ({tag})");
-            }
-            assert_eq!(tree.find(13), Some(130), "{tag}");
-            for k in [31u64, 32, 33] {
-                assert_eq!(tree.find(k), Some(k), "{tag}");
-            }
-            tree.verify_invariants().unwrap();
-        }
-    }
 }
 
 /// Var-key batch paths keep the amortised contract: `load_sorted_k` is
