@@ -43,7 +43,7 @@ fn main() {
         for kind in TreeKind::CONCURRENT {
             let pool = pool_for(kind, WARM, 0, PmemConfig::for_benchmarks(0));
             let tree: Arc<dyn index_common::PersistentIndex> = build_tree(kind, pool, false);
-            warm(&*tree, WARM, 1);
+            warm(&*tree, WARM);
             let mut seed = 0u64;
             bench(&format!("ycsb_a_{label}_{THREADS}thr/{kind:?}"), || {
                 seed += 1;

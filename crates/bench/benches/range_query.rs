@@ -14,7 +14,7 @@ fn main() {
         for kind in kinds {
             let pool = pool_for(kind, WARM, 0, PmemConfig::for_benchmarks(0));
             let tree = build_tree(kind, pool, true);
-            warm(&*tree, WARM, 1);
+            warm(&*tree, WARM);
             let mut buf = Vec::with_capacity(len);
             let mut k = 1u64;
             bench(&format!("scan_{len}/{kind:?}"), || {

@@ -21,7 +21,7 @@ fn main() {
     for kind in KINDS {
         let pool = pool_for(kind, WARM, 0, PmemConfig::for_benchmarks(0));
         let tree = build_tree(kind, pool, true);
-        warm(&*tree, WARM, 1);
+        warm(&*tree, WARM);
         let mut k = 1u64;
         bench(&format!("find/{kind:?}"), || {
             k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -33,7 +33,7 @@ fn main() {
     for kind in KINDS {
         let pool = pool_for(kind, WARM, 4_000_000, PmemConfig::for_benchmarks(0));
         let tree = build_tree(kind, pool, true);
-        warm(&*tree, WARM, 1);
+        warm(&*tree, WARM);
         let mut next = WARM + 1;
         bench(&format!("insert/{kind:?}"), || {
             let _ = tree.insert(next, 1);
@@ -45,7 +45,7 @@ fn main() {
     for kind in KINDS {
         let pool = pool_for(kind, WARM, 0, PmemConfig::for_benchmarks(0));
         let tree = build_tree(kind, pool, true);
-        warm(&*tree, WARM, 1);
+        warm(&*tree, WARM);
         let mut k = 1u64;
         bench(&format!("update/{kind:?}"), || {
             k = k.wrapping_mul(6364136223846793005).wrapping_add(1);

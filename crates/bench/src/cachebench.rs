@@ -42,15 +42,11 @@ use nvm::CacheStats;
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Scale, TreeKind};
-use crate::report::{fmt_tput, Table};
+use crate::report::{fmt_tput, median, sign_test_p, wins, Table, RESCUE_ROUNDS};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
 const ROUNDS: usize = 5;
-/// Extra paired re-measurements for points that have not yet met their
-/// regime's criterion (same rationale as `contbench::RESCUE_ROUNDS`).
-const RESCUE_ROUNDS: usize = 16;
 
 /// The two working-set regimes: (name, frame budget, what must hold).
 /// Budgets are chosen against the inner-node population at the default
@@ -94,7 +90,7 @@ impl Cell {
                     ..RnConfig::default()
                 },
             ));
-            warm(&*tree, scale.warm_n, scale.seed);
+            warm(&*tree, scale.warm_n);
             tree
         });
         let dyns: [Arc<dyn PersistentIndex>; 2] = [trees[0].clone() as _, trees[1].clone() as _];
@@ -134,7 +130,7 @@ impl Cell {
 
     /// Back-to-back cached/uncached pair at thread index `ti`; records the
     /// time-adjacent ratio. `flip` alternates in-pair order round to round
-    /// (see `contbench::Cell::measure_pair` for why).
+    /// (see the paired-measurement notes in [`crate::report`]).
     fn measure_pair(
         &self,
         scale: &Scale,

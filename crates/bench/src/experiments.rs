@@ -34,7 +34,7 @@ fn count_loop(mut f: impl FnMut(u64), n: u64) -> f64 {
 fn fresh_warmed(kind: TreeKind, scale: &Scale, extra: u64, seq: bool) -> Arc<dyn PersistentIndex> {
     let pool = pool_for(kind, scale.warm_n, extra, scale.bench_pool_cfg());
     let tree = build_tree(kind, pool, seq);
-    warm(&*tree, scale.warm_n, scale.seed);
+    warm(&*tree, scale.warm_n);
     tree
 }
 
@@ -63,7 +63,7 @@ pub fn table1(scale: &Scale) {
         }
         let pool = pool_for(kind, n, 4_000, PmemConfig::fast(0));
         let tree = build_tree(kind, Arc::clone(&pool), true);
-        warm(&*tree, n, scale.seed);
+        warm(&*tree, n);
 
         // Median per-op persist count over a randomised batch: robust to
         // the occasional split/compaction, while still exposing CDDS's
@@ -328,7 +328,7 @@ pub fn fig7(scale: &Scale) {
         let pool = pool_for(TreeKind::RnTreeDs, n, 0, scale.recovery_pool_cfg());
         let cfg = RnConfig::default();
         let tree = RnTree::create(Arc::clone(&pool), cfg);
-        warm(&tree, n, scale.seed);
+        warm(&tree, n);
         tree.close();
         drop(tree);
 
@@ -386,7 +386,7 @@ pub fn fig8(scale: &Scale) {
         for kind in TreeKind::CONCURRENT {
             let pool = pool_for(kind, scale.warm_n, 0, scale.bench_pool_cfg());
             let tree = build_tree(kind, pool, false);
-            warm(&*tree, scale.warm_n, scale.seed);
+            warm(&*tree, scale.warm_n);
             let spec = spec_of(scale.warm_n);
             let mut row = vec![format!("{:?}", kind)];
             let mut last_stats = String::new();
@@ -417,7 +417,7 @@ pub fn fig9(scale: &Scale) {
     for kind in TreeKind::CONCURRENT {
         let pool = pool_for(kind, scale.warm_n, 0, scale.bench_pool_cfg());
         let tree = build_tree(kind, pool, false);
-        warm(&*tree, scale.warm_n, scale.seed);
+        warm(&*tree, scale.warm_n);
         let spec = WorkloadSpec::ycsb_a(KeyDist::ScrambledZipfian {
             n: scale.warm_n,
             theta: 0.8,
@@ -456,7 +456,7 @@ pub fn fig10(scale: &Scale) {
     for kind in TreeKind::CONCURRENT {
         let pool = pool_for(kind, scale.warm_n, 0, scale.bench_pool_cfg());
         let tree = build_tree(kind, pool, false);
-        warm(&*tree, scale.warm_n, scale.seed);
+        warm(&*tree, scale.warm_n);
         let mut row = vec![format!("{:?}", kind)];
         let mut tputs = Vec::new();
         for &theta in &thetas {

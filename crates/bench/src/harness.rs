@@ -113,10 +113,8 @@ pub fn build_tree(kind: TreeKind, pool: Arc<PmemPool>, seq: bool) -> Arc<dyn Per
 /// leaves directly on trees that support it (RNTree) and falls back to a
 /// sorted upsert replay on the baselines. Severalfold faster than the old
 /// shuffled upsert loop, and every benchmark pays it before each measured
-/// window. The `seed` parameter is kept for call-site compatibility; the
-/// loaded contents are order-independent, so it no longer matters.
-pub fn warm(tree: &dyn PersistentIndex, n: u64, seed: u64) {
-    let _ = seed;
+/// window.
+pub fn warm(tree: &dyn PersistentIndex, n: u64) {
     let pairs: Vec<(u64, u64)> = (1..=n).map(|k| (k, k)).collect();
     tree.load_sorted(&pairs).expect("warm bulk load failed");
 }
@@ -192,7 +190,7 @@ mod tests {
         for kind in TreeKind::ALL {
             let pool = pool_for(kind, 500, 0, PmemConfig::fast(0));
             let tree = build_tree(kind, pool, true);
-            warm(&*tree, 500, 1);
+            warm(&*tree, 500);
             for k in [1u64, 250, 500] {
                 assert_eq!(tree.find(k), Some(k), "{kind:?} key {k}");
             }

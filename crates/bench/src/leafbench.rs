@@ -39,15 +39,11 @@ use obs::{ObsSource, Section};
 use rntree::{LeafPolicy, RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Scale, TreeKind};
-use crate::report::{fmt_tput, Table};
+use crate::report::{fmt_tput, median, sign_test_p, wins, Table, RESCUE_ROUNDS};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
 const ROUNDS: usize = 5;
-/// Extra paired re-measurements for gate points still failing their
-/// criterion (same rationale as `contbench::RESCUE_ROUNDS`).
-const RESCUE_ROUNDS: usize = 16;
 /// Adaptive gate: fraction of the best static peak the adaptive tree
 /// must reach. Morphing is rare at steady state, so "within noise" is a
 /// generous floor rather than a paired test — the adaptive tree *is*
@@ -72,7 +68,7 @@ fn warmed_tree(scale: &Scale, policy: LeafPolicy) -> Arc<RnTree> {
             ..RnConfig::default()
         },
     ));
-    warm(&*tree, scale.warm_n, scale.seed);
+    warm(&*tree, scale.warm_n);
     tree
 }
 

@@ -24,7 +24,6 @@
 
 pub mod batchbench;
 pub mod cachebench;
-pub mod contbench;
 pub mod experiments;
 pub mod harness;
 pub mod leafbench;

@@ -81,7 +81,7 @@ fn snapshot_stage(scale: &Scale) -> (Json, String, Json) {
     let instr = Arc::new(instr);
     let tree: Arc<dyn PersistentIndex> = Arc::clone(&instr) as Arc<dyn PersistentIndex>;
 
-    warm(&*tree, scale.warm_n, scale.seed);
+    warm(&*tree, scale.warm_n);
     let spec = WorkloadSpec::ycsb_a(KeyDist::Uniform { n: scale.warm_n });
     let threads = scale.threads.iter().copied().max().unwrap_or(1);
     let r = run_closed_loop(&tree, &spec, threads, scale.duration, scale.seed);
@@ -218,7 +218,7 @@ fn overhead_stage(scale: &Scale) -> Json {
     let plain: Arc<dyn PersistentIndex> = Arc::clone(&inner) as Arc<dyn PersistentIndex>;
     let (instr, _hists) = Instrumented::with_histograms(Arc::clone(&inner));
     let instr: Arc<dyn PersistentIndex> = Arc::new(instr);
-    warm(&*plain, scale.warm_n, scale.seed);
+    warm(&*plain, scale.warm_n);
 
     let spec = WorkloadSpec::ycsb_a(KeyDist::Uniform { n: scale.warm_n });
     let threads = scale.threads.iter().copied().max().unwrap_or(1);

@@ -65,7 +65,7 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
             let set = poolset_for(scale, shards, scale.bench_pool_cfg());
             let tree: Arc<dyn PersistentIndex> =
                 Arc::new(ShardedIndex::<RnTree>::create(&set.handles(), cfg));
-            warm(&*tree, scale.warm_n, scale.seed);
+            warm(&*tree, scale.warm_n);
             (shards, tree)
         })
         .collect();
@@ -113,7 +113,7 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
         let set = poolset_for(scale, shards, scale.recovery_pool_cfg());
         {
             let tree = ShardedIndex::<RnTree>::create(&set.handles(), cfg);
-            warm(&tree, scale.warm_n, scale.seed);
+            warm(&tree, scale.warm_n);
         }
         // Best of 3 crash/recover rounds: one-shot timings on a small box
         // are dominated by first-touch page faults on the freshly

@@ -4,7 +4,7 @@
 //! Three stages:
 //!
 //! 1. **Heat attribution** — two identically-warmed `RnTree` cells run
-//!    back to back: the PR-6 *colliding-stripe adversary* (YCSB-A over a
+//!    back to back: the *colliding-stripe adversary* (YCSB-A over a
 //!    uniform 256-key hot window, every op landing on the same few
 //!    leaves) and a *uniform control* (YCSB-A over the whole keyspace).
 //!    Both trees are bulk-loaded with the same keys, so leaf offsets are
@@ -21,7 +21,7 @@
 //!    the overhead stage measures the realistic default separately).
 //!    The dump is folded into a critical-path table: per-phase mean
 //!    share, descent depth, cache hit rate, HTM attempts and abort mix
-//!    per sampled op, fallback-tier split, and persist count — the
+//!    per sampled op, fallback count, and persist count — the
 //!    per-op view that whole-run counters can't give.
 //! 3. **Overhead** — PR-4 methodology: YCSB-A peak throughput with
 //!    everything off vs fully on (recorder + phase timers + trace ring
@@ -46,9 +46,9 @@ use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
 use crate::harness::{pool_for, warm, Scale, TreeKind};
-use crate::report::Table;
+use crate::report::{median, Table};
 
-/// Keys in the planted hot window (the PR-6 colliding-stripe cell).
+/// Keys in the planted hot window (the `colliding-stripe` cell).
 const HOT_WINDOW: u64 = 256;
 /// Interleaved measurement rounds for the overhead stage (odd, so the
 /// gated median is an actual round, not an interpolation).
@@ -115,7 +115,6 @@ struct CellRun {
     conflicts: Vec<HeatEntry>,
     splits: Vec<HeatEntry>,
     morphs: Vec<HeatEntry>,
-    stripes: Vec<HeatEntry>,
     decayed: u64,
     spans: Vec<obs::OpSpan>,
     spans_recorded: u64,
@@ -141,7 +140,7 @@ fn run_cell(
     // leaf lock and conflicts are so rare that a short window may see
     // none at all. (The overhead stage keeps the production default.)
     let tree = Arc::new(RnTree::create(pool, RnConfig { dual_slot: false, ..RnConfig::default() }));
-    warm(&*tree, scale.warm_n, scale.seed);
+    warm(&*tree, scale.warm_n);
     tree.phase_timers().set_enabled(true);
 
     let ring = TraceRing::shared();
@@ -182,7 +181,6 @@ fn run_cell(
         conflicts: heat.conflicts.top_k(HEAT_TOP_K),
         splits: heat.splits.top_k(HEAT_TOP_K),
         morphs: heat.morphs.top_k(HEAT_TOP_K),
-        stripes: tree.stripe_heat_top_k(HEAT_TOP_K),
         decayed: heat.conflicts.decayed(),
         spans: ring.dump(),
         spans_recorded: ring.recorded(),
@@ -222,7 +220,7 @@ struct TraceDigest {
     cache_hit_rate: f64,
     mean_attempts: f64,
     aborts_by_cause: [u64; 4],
-    tier_counts: [u64; 3],
+    tier_counts: [u64; 2],
     mean_persists: f64,
 }
 
@@ -236,7 +234,7 @@ fn digest(spans: &[obs::OpSpan]) -> TraceDigest {
         cache_hit_rate: 0.0,
         mean_attempts: 0.0,
         aborts_by_cause: [0; 4],
-        tier_counts: [0; 3],
+        tier_counts: [0; 2],
         mean_persists: 0.0,
     };
     if spans.is_empty() {
@@ -255,7 +253,7 @@ fn digest(spans: &[obs::OpSpan]) -> TraceDigest {
         for c in 0..4 {
             d.aborts_by_cause[c] += s.aborts_by_cause[c] as u64;
         }
-        d.tier_counts[(s.fallback_tier as usize).min(2)] += 1;
+        d.tier_counts[(s.fallback_tier > 0) as usize] += 1;
         d.mean_persists += s.persists as f64;
     }
     d.mean_total_ns /= n;
@@ -287,7 +285,7 @@ fn digest_json(d: &TraceDigest) -> Json {
     }
     o.set("aborts_by_cause", ab);
     let mut t = Json::obj();
-    for (i, name) in ["none", "striped", "global"].iter().enumerate() {
+    for (i, name) in ["none", "global"].iter().enumerate() {
         t.set(name, Json::U64(d.tier_counts[i]));
     }
     o.set("fallback_tier", t);
@@ -321,8 +319,8 @@ fn print_digest(d: &TraceDigest) {
         ),
     ]);
     t.row(vec![
-        "fallback tier (none/striped/global)".into(),
-        format!("{}/{}/{}", d.tier_counts[0], d.tier_counts[1], d.tier_counts[2]),
+        "fallback (none/global)".into(),
+        format!("{}/{}", d.tier_counts[0], d.tier_counts[1]),
     ]);
     t.row(vec!["mean persists".into(), format!("{:.2}", d.mean_persists)]);
     t.print();
@@ -367,7 +365,6 @@ fn cell_json(run: &CellRun, hot: &BTreeSet<u64>) -> Json {
     heat.set("leaf_conflicts", heat_json(&run.conflicts));
     heat.set("leaf_splits", heat_json(&run.splits));
     heat.set("leaf_morphs", heat_json(&run.morphs));
-    heat.set("htm_stripes", heat_json(&run.stripes));
     heat.set("leaf_conflicts_decayed", Json::U64(run.decayed));
     o.set("heat", heat);
     let hot_hits = run.conflicts.iter().filter(|e| hot.contains(&e.key)).count();
@@ -379,16 +376,6 @@ fn cell_json(run: &CellRun, hot: &BTreeSet<u64>) -> Json {
 }
 
 // -------------------------------------------------------------- overhead
-
-/// Median of a round's throughputs (the robust statistic for the gate).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 { xs[n / 2] } else { (xs[n / 2 - 1] + xs[n / 2]) / 2.0 }
-}
 
 /// PR-4 interleaved off/on overhead: plain tree vs recorder + phase
 /// timers + trace ring (production shift) + live timeline ticker.
@@ -405,7 +392,7 @@ fn median(xs: &mut [f64]) -> f64 {
 fn overhead_stage(scale: &Scale, threads: usize) -> Json {
     let pool = pool_for(TreeKind::RnTree, scale.warm_n, scale.warm_n / 8, scale.bench_pool_cfg());
     let tree = Arc::new(RnTree::create(pool, RnConfig::default()));
-    warm(&*tree, scale.warm_n, scale.seed);
+    warm(&*tree, scale.warm_n);
     let plain: Arc<dyn PersistentIndex> = Arc::clone(&tree) as Arc<dyn PersistentIndex>;
 
     let ring = TraceRing::shared();
@@ -435,8 +422,8 @@ fn overhead_stage(scale: &Scale, threads: usize) -> Json {
     tree.phase_timers().set_enabled(false);
     let off_peak = off_rounds.iter().cloned().fold(0f64, f64::max);
     let on_peak = on_rounds.iter().cloned().fold(0f64, f64::max);
-    let off_med = median(&mut off_rounds);
-    let on_med = median(&mut on_rounds);
+    let off_med = median(&off_rounds);
+    let on_med = median(&on_rounds);
     let overhead_pct = (100.0 * (off_med - on_med) / off_med).max(0.0);
     println!(
         "\noverhead: disabled {:.3} Mops, enabled {:.3} Mops → {:.2}% \
@@ -586,7 +573,6 @@ fn run_cells(scale: &Scale) -> (CellRun, CellRun, BTreeSet<u64>, TraceDigest, us
         run_closed_loop(&dynref, &spec, threads, scale.duration, scale.seed ^ extra);
         adv.conflicts = tree.leaf_heat().conflicts.top_k(HEAT_TOP_K);
         adv.decayed = tree.leaf_heat().conflicts.decayed();
-        adv.stripes = tree.stripe_heat_top_k(HEAT_TOP_K);
     }
     if extra > 0 {
         println!("(heat rescue: {extra} extra adversary rounds to outrun conflict noise)");
@@ -604,7 +590,6 @@ pub fn trace_scale(scale: &Scale, out_path: &str, assert_overhead_pct: Option<f6
     let (adv, uni, hot, d, threads) = run_cells(scale);
     print_heat("adversary leaf-conflict heat (top-K)", &adv.conflicts, Some(&hot));
     print_heat("uniform-control leaf-conflict heat (top-K)", &uni.conflicts, Some(&hot));
-    print_heat("adversary fallback-stripe heat", &adv.stripes, None);
     print_digest(&d);
     let oh_threads = scale.threads.iter().copied().max().unwrap_or(2).max(2);
     let overhead = overhead_stage(scale, oh_threads);
@@ -665,7 +650,6 @@ pub fn trace_report(scale: &Scale, assert_overhead_pct: Option<f64>) {
     let (adv, uni, hot, d, _threads) = run_cells(scale);
     print_digest(&d);
     print_heat("hot leaves by HTM conflict attribution", &adv.conflicts, Some(&hot));
-    print_heat("hot fallback stripes", &adv.stripes, None);
     print_heat("uniform-control leaf heat (for contrast)", &uni.conflicts, Some(&hot));
 
     println!("\n### timeline ({} windows)\n", adv.timeline.len());
@@ -743,7 +727,7 @@ mod tests {
             cache_hits: 3,
             cache_misses: 1,
             htm_attempts: 2,
-            fallback_tier: 1,
+            fallback_tier: 2,
             persists: 2,
             ..Default::default()
         };

@@ -35,15 +35,11 @@ use obs::{ObsSource, Section};
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, run_closed_loop_k, KeyDist, KeyShape, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Scale, TreeKind};
-use crate::report::{fmt_tput, Table};
+use crate::report::{fmt_tput, median, sign_test_p, wins, Table, RESCUE_ROUNDS};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
 const ROUNDS: usize = 5;
-/// Extra paired re-measurements for gate points still failing their
-/// criterion (same rationale as `contbench::RESCUE_ROUNDS`).
-const RESCUE_ROUNDS: usize = 16;
 
 /// The string-key cells: (label, shape). Lengths span the 8–64-byte
 /// range; all three shapes are order-preserving in the sampled id.
@@ -105,7 +101,7 @@ pub fn varkey_scale(scale: &Scale, out_path: &str) {
     // over it, measured back-to-back. Ratio = codec / native.
     let pool = pool_for(TreeKind::RnTree, scale.warm_n, scale.warm_n / 4, scale.bench_pool_cfg());
     let tree = Arc::new(RnTree::create(pool, RnConfig::default()));
-    warm(&*tree, scale.warm_n, scale.seed);
+    warm(&*tree, scale.warm_n);
     let dynt: Arc<dyn PersistentIndex> = tree.clone();
 
     let mut peak = [vec![0.0f64; n_points], vec![0.0f64; n_points]]; // [native, codec]

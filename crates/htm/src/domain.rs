@@ -1,4 +1,4 @@
-//! [`HtmDomain`]: the retry loop + two-tier fallback path (the lock-elision
+//! [`HtmDomain`]: the retry loop + fallback path (the lock-elision
 //! pattern).
 //!
 //! `domain.atomic(|txn| …)` is the equivalent of the canonical RTM idiom:
@@ -15,30 +15,18 @@
 //!   }
 //! ```
 //!
-//! …except that the fallback is **two-tier** (see [`crate::fallback`] for
-//! the safety argument):
-//!
-//! * **Tier 1 (striped)**: a conflict-driven fallback acquires only the
-//!   fallback stripes covering the footprint its optimistic attempts
-//!   observed (the union of their stripe subscriptions), runs the body
-//!   with buffered writes, and publishes them under those stripes
-//!   atomically at a single commit version. Fallbacks
-//!   on disjoint stripes — different leaves, in tree terms — no longer
-//!   serialise against each other or against unrelated transactions.
-//! * **Tier 2 (global)**: capacity and flush aborts (footprint unknown or
-//!   flushing required) and striped runs that touch outside their
-//!   predicted footprint escalate to the global lock + *all* stripes and
-//!   run irrevocably, exactly like the old single-lock design.
+//! The fallback is the domain's one [`FallbackLock`]; the body runs under
+//! it irrevocably (see [`crate::fallback`] for the safety argument).
 //!
 //! Retry policy, mirroring production RTM code, **adaptive** by default:
 //! * **Conflict** aborts retry with exponential backoff up to an
-//!   *effective* retry budget, then take a fallback. The budget starts at
+//!   *effective* retry budget, then take the fallback. The budget starts at
 //!   [`RetryPolicy::max_retries`] and is shrunk by a per-thread
 //!   consecutive-conflict streak (sustained contention ⇒ fall back
 //!   sooner, with longer backoff); a conflict-free commit decays the
 //!   streak. The budget in force at each conflict is recorded in
 //!   [`crate::HtmStats::retry_budget`].
-//! * **Capacity** and **flush-in-txn** aborts go to the global fallback
+//! * **Capacity** and **flush-in-txn** aborts go to the fallback
 //!   immediately — retrying cannot help a transaction that is too big or
 //!   that must flush. Capacity aborts additionally teach the policy a
 //!   per-call-site "go straight to fallback" hint (with a credit budget,
@@ -50,9 +38,9 @@
 //!   on.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
-use crate::fallback::{FallbackLock, StripeTable};
+use crate::fallback::FallbackLock;
 use crate::stats::HtmStats;
 use crate::txn::{AbortCode, Txn, TxnOptions};
 use crate::TxResult;
@@ -144,7 +132,7 @@ fn adapt_learn_site(site: usize) {
 }
 
 /// Consumes one hint credit for `site` if armed; `true` means "skip the
-/// optimistic attempt, go straight to the global fallback".
+/// optimistic attempt, go straight to the fallback".
 fn adapt_take_site(site: usize) -> bool {
     ADAPT.with(|a| {
         let mut a = a.borrow_mut();
@@ -161,41 +149,34 @@ fn adapt_take_site(site: usize) -> bool {
     })
 }
 
-/// Serialises tier-2 bodies process-wide. A tier-2 body holds the
-/// version-lock entries it touches until it ends, and the lock table is
+/// Serialises irrevocable bodies process-wide. An irrevocable body holds
+/// the version-lock entries it touches until it ends, and the lock table is
 /// shared by every domain: two bodies of different domains running at once
 /// could each wait for an entry the other holds. Every other entry holder
 /// gives its entries back within a bounded wait (optimistic commits abort,
-/// striped publishes release and retry, `*_nontx` ops hold one entry and
-/// never wait while holding it), so one body at a time cannot deadlock.
+/// `*_nontx` ops hold one entry and never wait while holding it), so one
+/// body at a time cannot deadlock.
 static IRREVOCABLE_BODY: FallbackLock = FallbackLock::new();
 
-/// An HTM execution domain: two-tier fallback + stats + capacity model.
+/// An HTM execution domain: fallback lock + stats + capacity model.
 ///
 /// Each concurrent data structure owns one domain, mirroring a per-structure
 /// fallback mutex (a process-global one would serialise unrelated trees).
 #[derive(Debug)]
 pub struct HtmDomain {
     fallback: FallbackLock,
-    stripes: StripeTable,
     stats: HtmStats,
     opts: TxnOptions,
     policy: RetryPolicy,
-    /// Fine-grained (striped) fallback enabled. Configuration knob: flip it
-    /// only while no transactions are running in the domain (the two modes
-    /// use different subscription sets).
-    striped: AtomicBool,
 }
 
 impl Default for HtmDomain {
     fn default() -> Self {
         HtmDomain {
             fallback: FallbackLock::new(),
-            stripes: StripeTable::new(),
             stats: HtmStats::default(),
             opts: TxnOptions::default(),
             policy: RetryPolicy::default(),
-            striped: AtomicBool::new(true),
         }
     }
 }
@@ -221,27 +202,9 @@ impl HtmDomain {
         &self.stats
     }
 
-    /// The domain's global (tier-2) fallback lock (exposed for
-    /// tests/diagnostics).
+    /// The domain's fallback lock (exposed for tests/diagnostics).
     pub fn fallback_lock(&self) -> &FallbackLock {
         &self.fallback
-    }
-
-    /// The domain's stripe table (exposed for tests/diagnostics).
-    pub fn stripe_table(&self) -> &StripeTable {
-        &self.stripes
-    }
-
-    /// Enables/disables the fine-grained (striped) fallback tier; disabled
-    /// means every fallback takes the global lock, as before PR 5. Must not
-    /// race with concurrent `atomic` sections in this domain.
-    pub fn set_striped_fallback(&self, on: bool) {
-        self.striped.store(on, Relaxed);
-    }
-
-    /// True when the fine-grained fallback tier is enabled.
-    pub fn striped_fallback(&self) -> bool {
-        self.striped.load(Relaxed)
     }
 
     /// Runs `body` atomically, retrying and falling back as real RTM code
@@ -259,16 +222,11 @@ impl HtmDomain {
             f.set(true);
         });
         let _reset = ResetOnDrop;
-        let striped_on = self.striped.load(Relaxed);
-        let tbl = striped_on.then_some(&self.stripes);
         let site = std::panic::Location::caller() as *const _ as usize;
         let mut conflicts = 0u32;
         // Aborts of any cause suffered so far by this logical section;
         // feeds the retries-to-commit histogram on success.
         let mut retries = 0u64;
-        // Union of the stripe subscriptions of every optimistic attempt so
-        // far: the footprint prediction a tier-1 fallback will lock.
-        let mut footprint = 0u64;
 
         // Learned capacity hint: this call site has recently proven too big
         // for the capacity model, so skip the doomed optimistic attempt.
@@ -287,23 +245,20 @@ impl HtmDomain {
         loop {
             // The lock-elision prologue (wait out a fallback holder) lives
             // inside `Txn::optimistic` now: the begin-time subscription
-            // must re-sample `rv` after each observation of the global
+            // must re-sample `rv` after each observation of the fallback
             // word, or an irrevocable window could open between the wait
             // and the rv sample (the exact race a bare `wait_until_free`
             // here had).
             self.stats.attempts.fetch_add(1, Relaxed);
             obs::note_htm_attempt();
             crate::set_in_transaction(true);
-            // Commit-time fallback subscription: the txn tracks its stripe
-            // footprint as a bitmask and checks the global word + footprint
-            // stripes for freedom during commit, after its write locks are
-            // held — the optimistic hot path pays no per-read fallback
-            // loads at all (see the proof in `crate::fallback`).
-            let mut txn = Txn::optimistic(self.opts, tbl, Some(&self.fallback.word));
+            // Commit-time fallback subscription: a writing txn checks the
+            // fallback word for freedom during commit, after its write
+            // locks are held — the optimistic hot path pays no per-read
+            // fallback loads at all (see the proof in `crate::fallback`).
+            let mut txn = Txn::optimistic(self.opts, Some(&self.fallback.word));
             let result = body(&mut txn);
             crate::set_in_transaction(false);
-            // Capture the footprint before commit consumes the txn.
-            let mask = txn.stripe_mask();
             let abort = match result {
                 Ok(r) => match txn.commit() {
                     Ok(()) => {
@@ -318,8 +273,6 @@ impl HtmDomain {
                 },
                 Err(a) => a,
             };
-            footprint |= mask;
-            obs::note_stripes(mask);
 
             retries += 1;
             let take_fallback = match abort.code {
@@ -358,40 +311,15 @@ impl HtmDomain {
             };
 
             if take_fallback {
-                // Tier 1: conflict-driven fallbacks know their footprint
-                // (the stripes the optimistic attempts subscribed to); run
-                // under exactly those stripes. Capacity/flush aborts have
-                // no usable footprint and escalate directly.
-                let mut escalate = !matches!(abort.code, AbortCode::Conflict);
-                if !escalate && striped_on && footprint != 0 {
-                    match self.run_striped(&mut body, footprint) {
-                        StripedOutcome::Done(r) => {
-                            self.stats.retries.record(retries);
-                            return r;
-                        }
-                        StripedOutcome::Escaped => escalate = true,
-                        StripedOutcome::ExplicitAbort => {
-                            conflicts = 0;
-                            backoff(conflicts, 0);
-                            continue;
-                        }
+                match self.run_global(&mut body) {
+                    Some(r) => {
+                        self.stats.retries.record(retries);
+                        return r;
                     }
-                } else if !escalate {
-                    // Conflict escalation with no known footprint (body
-                    // read nothing before aborting) or striping disabled.
-                    escalate = true;
-                }
-                if escalate {
-                    match self.run_global(&mut body) {
-                        Some(r) => {
-                            self.stats.retries.record(retries);
-                            return r;
-                        }
-                        None => {
-                            // Explicit abort under the lock: resume
-                            // optimistically (legacy behaviour).
-                            conflicts = 0;
-                        }
+                    None => {
+                        // Explicit abort under the lock: resume
+                        // optimistically.
+                        conflicts = 0;
                     }
                 }
             }
@@ -400,86 +328,24 @@ impl HtmDomain {
         }
     }
 
-    /// Tier-1 fallback: runs `body` under the stripes in `mask`, buffering
-    /// writes and publishing them before the stripes are released.
-    fn run_striped<'t, R>(
-        &'t self,
-        body: &mut impl FnMut(&mut Txn<'t>) -> TxResult<R>,
-        mask: u64,
-    ) -> StripedOutcome<R> {
-        let guard = self.stripes.acquire_mask(mask, &self.stats.stripe_conflicts);
-        self.stats.fallbacks.fetch_add(1, Relaxed);
-        self.stats.fallbacks_striped.fetch_add(1, Relaxed);
-        obs::note_fallback(1);
-        // Heat attribution: each stripe this fallback serializes on gets
-        // one unit — already off the optimistic path, so the sketch CAS
-        // cost is noise next to the stripe acquisition itself.
-        let mut bits = mask;
-        while bits != 0 {
-            let s = bits.trailing_zeros() as u64;
-            self.stats.stripe_heat.record(s, 1);
-            bits &= bits - 1;
-        }
-        let mut txn = Txn::striped(self.opts, mask);
-        // The striped body buffers its writes exactly like an optimistic
-        // one, so a raw flush in here would persist pre-publication state:
-        // keep the in-transaction flag set so persistence asserts fire.
-        crate::set_in_transaction(true);
-        let result = body(&mut txn);
-        crate::set_in_transaction(false);
-        let outcome = match result {
-            Ok(r) => match txn.commit() {
-                // Publishes the buffered writes. The one failure is a word
-                // the body read being changed meanwhile by a writer the
-                // stripes do not exclude, such as a `*_nontx` store.
-                Ok(()) => StripedOutcome::Done(r),
-                Err(_) => {
-                    self.stats.stripe_escapes.fetch_add(1, Relaxed);
-                    StripedOutcome::Escaped
-                }
-            },
-            Err(a) => {
-                if !txn.escaped() && matches!(a.code, AbortCode::Explicit(_)) {
-                    self.stats.aborts_explicit.fetch_add(1, Relaxed);
-                    StripedOutcome::ExplicitAbort
-                } else {
-                    // Footprint miss, flush, stale read, or a
-                    // body-propagated abort: nothing was published;
-                    // escalate to the global tier.
-                    self.stats.stripe_escapes.fetch_add(1, Relaxed);
-                    StripedOutcome::Escaped
-                }
-            }
-        };
-        drop(guard);
-        outcome
-    }
-
-    /// Tier-2 fallback: global lock + all stripes, irrevocable body.
-    /// `None` means the body aborted explicitly and the caller should
+    /// The fallback: the domain's lock, irrevocable body. `None` means the body aborted explicitly and the caller should
     /// resume optimistically.
     fn run_global<'t, R>(
         &'t self,
         body: &mut impl FnMut(&mut Txn<'t>) -> TxResult<R>,
     ) -> Option<R> {
         let guard = self.fallback.acquire();
-        // Lock order: global first, then stripes ascending — the only
-        // all-stripe acquirer, so tier-1 (stripes only, ascending) can
-        // never deadlock against it.
-        let stripe_guard = self.stripes.acquire_all(&self.stats.stripe_conflicts);
-        // Innermost: one tier-2 body at a time across every domain (see
+        // Inner: one irrevocable body at a time across every domain (see
         // `IRREVOCABLE_BODY`).
         let body_guard = IRREVOCABLE_BODY.acquire();
         self.stats.fallbacks.fetch_add(1, Relaxed);
-        self.stats.fallbacks_global.fetch_add(1, Relaxed);
-        obs::note_fallback(2);
+        obs::note_fallback();
         let mut txn = Txn::irrevocable(self.opts);
         let result = body(&mut txn);
         // Release the version-lock entries the body held before the
         // fallback words: releasing a fallback word takes its own entry.
         drop(txn);
         drop(body_guard);
-        drop(stripe_guard);
         drop(guard);
         match result {
             Ok(r) => Some(r),
@@ -502,7 +368,7 @@ impl HtmDomain {
 
     /// Runs `body` atomically for a section known in advance to exceed the
     /// capacity model (e.g. a whole-node rewrite touching both slot lines
-    /// and every KV line). Goes straight to the tier-2 global fallback —
+    /// and every KV line). Goes straight to the fallback —
     /// real RTM would burn an optimistic attempt only to take a guaranteed
     /// capacity abort, and the learned-capacity hint would merely rediscover
     /// that per call site. Explicit aborts from `body` retry under the lock.
@@ -528,17 +394,6 @@ impl HtmDomain {
             backoff(retries as u32, 0);
         }
     }
-}
-
-/// Result of a tier-1 (striped) fallback run.
-enum StripedOutcome<R> {
-    /// Body completed; buffered writes were published under the stripes.
-    Done(R),
-    /// Footprint miss / flush / stale read / propagated abort: nothing
-    /// published, escalate to tier 2.
-    Escaped,
-    /// Body aborted explicitly: resume the optimistic loop.
-    ExplicitAbort,
 }
 
 struct ResetOnDrop;
@@ -634,7 +489,6 @@ mod tests {
         }
         let s = d.stats().snapshot();
         assert!(s.fallbacks >= 1, "oversized txn must use the fallback");
-        assert!(s.fallbacks_global >= 1, "capacity goes to the global tier");
         assert!(s.aborts_capacity >= 1);
     }
 
@@ -651,7 +505,7 @@ mod tests {
         let rounds = 10u64;
         for _ in 0..rounds {
             // One call site, looped: the first round capacity-aborts and
-            // arms the hint; later rounds must go straight to the global
+            // arms the hint; later rounds must go straight to the
             // fallback without burning an optimistic attempt.
             d.atomic(|t| {
                 for w in &words {
@@ -665,116 +519,12 @@ mod tests {
             assert_eq!(w.load_direct(), rounds);
         }
         let s = d.stats().snapshot();
-        assert_eq!(s.fallbacks_global, rounds, "every round must fall back");
+        assert_eq!(s.fallbacks, rounds, "every round must fall back");
         assert_eq!(
             s.aborts_capacity, 1,
             "only the unhinted first round pays the capacity abort"
         );
         assert_eq!(s.attempts, 1, "hinted rounds skip the optimistic attempt");
-    }
-
-    #[test]
-    fn conflict_escalation_uses_the_striped_tier() {
-        let d = HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        );
-        let w = TmWord::new(0);
-        let mut forced = false;
-        let r = d.atomic(|t| {
-            let v = t.read(&w)?;
-            if !t.is_fallback() && !forced {
-                // Fabricate one conflict abort on the optimistic run: with
-                // a zero budget the domain must escalate, and because the
-                // footprint (w's stripe) is known, to the striped tier.
-                forced = true;
-                return Err(Abort::CONFLICT);
-            }
-            t.write(&w, v + 1)?;
-            Ok(v)
-        });
-        assert_eq!(r, 0);
-        assert_eq!(w.load_direct(), 1);
-        let s = d.stats().snapshot();
-        assert_eq!(s.fallbacks_striped, 1, "known footprint ⇒ tier 1");
-        assert_eq!(s.fallbacks_global, 0);
-        assert_eq!(s.stripe_escapes, 0);
-    }
-
-    #[test]
-    fn striped_footprint_miss_escalates_to_global() {
-        let d = HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        );
-        let a = TmWord::new(0);
-        let b = TmWord::new(0);
-        let mut forced = false;
-        d.atomic(|t| {
-            if t.is_fallback() {
-                // The fallback run touches `b`, which the optimistic
-                // attempt never did: if `b`'s stripe is outside the
-                // predicted footprint the striped run escapes and the
-                // global tier completes it. (If `a` and `b` happen to
-                // share a stripe the striped run just succeeds — both
-                // outcomes are checked below.)
-                let vb = t.read(&b)?;
-                t.write(&b, vb + 1)?;
-            }
-            let v = t.read(&a)?;
-            if !t.is_fallback() && !forced {
-                forced = true;
-                return Err(Abort::CONFLICT);
-            }
-            t.write(&a, v + 1)?;
-            Ok(())
-        });
-        assert_eq!(a.load_direct(), 1);
-        let s = d.stats().snapshot();
-        let same_stripe =
-            crate::fallback::stripe_of(&a) == crate::fallback::stripe_of(&b);
-        if same_stripe {
-            assert_eq!(s.fallbacks_striped, 1);
-            assert_eq!(s.stripe_escapes, 0);
-        } else {
-            assert_eq!(b.load_direct(), 1);
-            assert_eq!(s.stripe_escapes, 1, "miss must escape");
-            assert_eq!(s.fallbacks_global, 1, "…and complete globally");
-        }
-    }
-
-    #[test]
-    fn disabled_striping_restores_global_only_fallbacks() {
-        let d = HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        );
-        d.set_striped_fallback(false);
-        assert!(!d.striped_fallback());
-        let w = TmWord::new(0);
-        let mut forced = false;
-        d.atomic(|t| {
-            let v = t.read(&w)?;
-            if !t.is_fallback() && !forced {
-                forced = true;
-                return Err(Abort::CONFLICT);
-            }
-            t.write(&w, v + 1)?;
-            Ok(())
-        });
-        assert_eq!(w.load_direct(), 1);
-        let s = d.stats().snapshot();
-        assert_eq!(s.fallbacks_striped, 0);
-        assert_eq!(s.fallbacks_global, 1);
     }
 
     #[test]
@@ -821,7 +571,7 @@ mod tests {
         let mut aborts = 0u32;
         d.atomic(|t| {
             let v = t.read(&w)?;
-            if !t.is_fallback() && aborts < 40 {
+            if !t.is_irrevocable() && aborts < 40 {
                 aborts += 1;
                 return Err(Abort::CONFLICT);
             }
@@ -861,75 +611,8 @@ mod tests {
     }
 
     #[test]
-    fn read_only_snapshots_never_tear_across_striped_fallbacks() {
-        // Writers force every op onto the tier-1 striped fallback (one
-        // fabricated conflict, zero retry budget, footprint known) and
-        // increment (a, b) in lockstep; read-only sections — which skip
-        // the commit-time subscription check entirely — must still never
-        // observe a != b. With per-word fallback publishes (each at its
-        // own version) a reader whose rv lands between the two publishes
-        // would commit a torn snapshot; the single-wv striped publish is
-        // what this pins.
-        let d = Arc::new(HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        ));
-        let a = Arc::new(TmWord::new(0));
-        let b = Arc::new(TmWord::new(0));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let (d, a, b, stop) = (
-                Arc::clone(&d),
-                Arc::clone(&a),
-                Arc::clone(&b),
-                Arc::clone(&stop),
-            );
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let mut forced = false;
-                    d.atomic(|t| {
-                        let x = t.read(&a)?;
-                        let y = t.read(&b)?;
-                        if !t.is_fallback() && !forced {
-                            forced = true;
-                            return Err(Abort::CONFLICT);
-                        }
-                        t.write(&a, x + 1)?;
-                        t.write(&b, y + 1)
-                    });
-                }
-            }));
-        }
-        let (dr, ar, br) = (Arc::clone(&d), Arc::clone(&a), Arc::clone(&b));
-        let reader = std::thread::spawn(move || {
-            for _ in 0..5_000 {
-                let (x, y) = dr.atomic(|t| {
-                    let x = t.read(&ar)?;
-                    let y = t.read(&br)?;
-                    Ok((x, y))
-                });
-                assert_eq!(x, y, "read-only commit saw a torn striped publish");
-            }
-        });
-        reader.join().unwrap();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(a.load_direct(), b.load_direct());
-        assert!(
-            d.stats().snapshot().fallbacks_striped > 0,
-            "the striped tier must actually have been exercised"
-        );
-    }
-
-    #[test]
     fn optimistic_begin_subscribes_to_the_irrevocable_window() {
-        // A tier-2 (irrevocable) fallback publishes in place, word by
+        // An irrevocable fallback publishes in place, word by
         // word, with no single commit version — so optimistic begin must
         // not take an rv from inside its window. The writer holds the
         // window open (a published, b not yet) while the reader begins;
@@ -948,7 +631,7 @@ mod tests {
         );
         let writer = std::thread::spawn(move || {
             dw.atomic(|t| {
-                t.flush_attempt()?; // aborts optimistic ⇒ tier 2
+                t.flush_attempt()?; // aborts optimistic ⇒ fallback
                 t.write(&aw, 1)?;
                 sw.store(1, std::sync::atomic::Ordering::Release);
                 // Hold the window open long enough for the reader to try
@@ -970,7 +653,7 @@ mod tests {
         assert_eq!(
             (x, y),
             (1, 1),
-            "begin must wait out the tier-2 write window, not sample rv inside it"
+            "begin must wait out the fallback's write window, not sample rv inside it"
         );
     }
 

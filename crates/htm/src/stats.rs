@@ -3,18 +3,18 @@
 //! The paper attributes FPTree's poor skewed-workload scalability to
 //! find-transactions aborting against leaf locks; these counters make the
 //! abort economics of every workload directly observable (`repro fig8`
-//! prints them alongside throughput). Since the two-tier fallback, the
-//! fallback-path counters split by tier: `fallbacks_striped` (fine-grained
-//! stripe-set acquisitions), `fallbacks_global` (whole-domain escalations),
-//! `stripe_escapes` (striped runs whose footprint prediction missed and
-//! escalated), and `stripe_conflicts` (contended stripe acquisitions —
-//! two fallbacks colliding on a stripe). `fallbacks` stays the total.
+//! prints them alongside throughput).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use obs::{AtomicHistogram, HeatSketch, Histogram, Json, ToJson};
+use obs::{AtomicHistogram, Histogram, Json, ToJson};
 
 /// Live counters attached to an [`crate::HtmDomain`].
+///
+/// Aligned to a cache line so the counters every section writes never
+/// share a line with the domain's read-mostly fields (fallback word,
+/// capacity model, retry policy).
+#[repr(align(64))]
 #[derive(Debug, Default)]
 pub struct HtmStats {
     /// Optimistic transaction attempts started.
@@ -29,18 +29,8 @@ pub struct HtmStats {
     pub aborts_explicit: AtomicU64,
     /// Aborts caused by flush-in-transaction.
     pub aborts_flush: AtomicU64,
-    /// Times any fallback tier was taken (striped + global).
+    /// Times the fallback lock was taken.
     pub fallbacks: AtomicU64,
-    /// Tier-1 fallbacks: runs under a fine-grained stripe set.
-    pub fallbacks_striped: AtomicU64,
-    /// Tier-2 fallbacks: runs under the global lock (+ all stripes).
-    pub fallbacks_global: AtomicU64,
-    /// Striped runs that touched a line outside their predicted stripes
-    /// and escalated to the global tier (nothing published).
-    pub stripe_escapes: AtomicU64,
-    /// Contended stripe acquisitions: a fallback found a stripe it needed
-    /// already held by another fallback.
-    pub stripe_conflicts: AtomicU64,
     /// Aborts suffered before each successful section (0 = clean first
     /// try; fallback completions count the aborts that drove them there).
     /// Kept out of [`HtmStatsSnapshot`] so that stays `Copy`; read it via
@@ -51,11 +41,6 @@ pub struct HtmStats {
     /// A mass at low values means sustained contention has collapsed the
     /// optimistic budget. Read via [`HtmStats::retry_budget`].
     pub retry_budget: AtomicHistogram,
-    /// Structural heat: which fallback *stripes* serialize. Keyed by
-    /// stripe index, weighted one per stripe held by a tier-1 (striped)
-    /// fallback run — hot stripes are where optimism dies. Fed only on
-    /// the (already slow) fallback path, never inside a transaction.
-    pub stripe_heat: HeatSketch,
 }
 
 impl HtmStats {
@@ -69,10 +54,6 @@ impl HtmStats {
             aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
             aborts_flush: self.aborts_flush.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            fallbacks_striped: self.fallbacks_striped.load(Ordering::Relaxed),
-            fallbacks_global: self.fallbacks_global.load(Ordering::Relaxed),
-            stripe_escapes: self.stripe_escapes.load(Ordering::Relaxed),
-            stripe_conflicts: self.stripe_conflicts.load(Ordering::Relaxed),
         }
     }
 
@@ -97,13 +78,8 @@ impl HtmStats {
         self.aborts_explicit.store(0, Ordering::Relaxed);
         self.aborts_flush.store(0, Ordering::Relaxed);
         self.fallbacks.store(0, Ordering::Relaxed);
-        self.fallbacks_striped.store(0, Ordering::Relaxed);
-        self.fallbacks_global.store(0, Ordering::Relaxed);
-        self.stripe_escapes.store(0, Ordering::Relaxed);
-        self.stripe_conflicts.store(0, Ordering::Relaxed);
         self.retries.reset();
         self.retry_budget.reset();
-        self.stripe_heat.reset();
     }
 }
 
@@ -122,16 +98,8 @@ pub struct HtmStatsSnapshot {
     pub aborts_explicit: u64,
     /// Flush-in-txn aborts.
     pub aborts_flush: u64,
-    /// Fallback acquisitions (either tier).
+    /// Fallback acquisitions.
     pub fallbacks: u64,
-    /// Tier-1 (striped) fallback runs.
-    pub fallbacks_striped: u64,
-    /// Tier-2 (global) fallback runs.
-    pub fallbacks_global: u64,
-    /// Striped runs escalated on a footprint miss.
-    pub stripe_escapes: u64,
-    /// Contended stripe acquisitions.
-    pub stripe_conflicts: u64,
 }
 
 impl HtmStatsSnapshot {
@@ -150,8 +118,7 @@ impl HtmStatsSnapshot {
     }
 
     /// Fallback rate: fallback acquisitions per committed section
-    /// (optimistic commits + fallback completions; 0.0 when idle). The
-    /// headline number of the contention-scale benchmark.
+    /// (optimistic commits + fallback completions; 0.0 when idle).
     pub fn fallback_rate(&self) -> f64 {
         let sections = self.commits + self.fallbacks;
         if sections == 0 {
@@ -171,10 +138,6 @@ impl HtmStatsSnapshot {
             aborts_explicit: self.aborts_explicit.saturating_sub(earlier.aborts_explicit),
             aborts_flush: self.aborts_flush.saturating_sub(earlier.aborts_flush),
             fallbacks: self.fallbacks.saturating_sub(earlier.fallbacks),
-            fallbacks_striped: self.fallbacks_striped.saturating_sub(earlier.fallbacks_striped),
-            fallbacks_global: self.fallbacks_global.saturating_sub(earlier.fallbacks_global),
-            stripe_escapes: self.stripe_escapes.saturating_sub(earlier.stripe_escapes),
-            stripe_conflicts: self.stripe_conflicts.saturating_sub(earlier.stripe_conflicts),
         }
     }
 }
@@ -191,10 +154,6 @@ impl HtmStatsSnapshot {
             ("aborts_explicit".into(), self.aborts_explicit),
             ("aborts_flush".into(), self.aborts_flush),
             ("fallbacks".into(), self.fallbacks),
-            ("fallbacks_striped".into(), self.fallbacks_striped),
-            ("fallbacks_global".into(), self.fallbacks_global),
-            ("stripe_escapes".into(), self.stripe_escapes),
-            ("stripe_conflicts".into(), self.stripe_conflicts),
         ]
     }
 }
@@ -240,34 +199,37 @@ mod tests {
     fn reset_and_since() {
         let live = HtmStats::default();
         live.commits.fetch_add(4, Ordering::Relaxed);
-        live.fallbacks_striped.fetch_add(2, Ordering::Relaxed);
-        live.stripe_conflicts.fetch_add(1, Ordering::Relaxed);
+        live.fallbacks.fetch_add(2, Ordering::Relaxed);
+        live.aborts_flush.fetch_add(1, Ordering::Relaxed);
         let a = live.snapshot();
         live.commits.fetch_add(3, Ordering::Relaxed);
-        live.stripe_escapes.fetch_add(5, Ordering::Relaxed);
+        live.aborts_capacity.fetch_add(5, Ordering::Relaxed);
         let d = live.snapshot().since(&a);
         assert_eq!(d.commits, 3);
-        assert_eq!(d.fallbacks_striped, 0);
-        assert_eq!(d.stripe_escapes, 5);
+        assert_eq!(d.fallbacks, 0);
+        assert_eq!(d.aborts_capacity, 5);
         live.reset();
         assert_eq!(live.snapshot(), HtmStatsSnapshot::default());
     }
 
     #[test]
-    fn counters_include_fallback_tiers() {
+    fn counters_list_the_abort_taxonomy() {
         let names: Vec<String> = HtmStatsSnapshot::default()
             .counters()
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        for want in [
-            "fallbacks",
-            "fallbacks_striped",
-            "fallbacks_global",
-            "stripe_escapes",
-            "stripe_conflicts",
-        ] {
-            assert!(names.iter().any(|n| n == want), "missing {want}");
-        }
+        assert_eq!(
+            names,
+            [
+                "attempts",
+                "commits",
+                "aborts_conflict",
+                "aborts_capacity",
+                "aborts_explicit",
+                "aborts_flush",
+                "fallbacks",
+            ]
+        );
     }
 }

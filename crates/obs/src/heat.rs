@@ -1,6 +1,6 @@
 //! Structural heat attribution: a lock-free, fixed-capacity top-K
 //! frequency sketch ([`HeatSketch`]) keyed by an opaque structure id
-//! (leaf offset, fallback stripe index, cache set — whatever the feeding
+//! (leaf offset, cache set — whatever the feeding
 //! layer uses to name the contended thing).
 //!
 //! The design is a striped space-saving/Misra-Gries hybrid: each of

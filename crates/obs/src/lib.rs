@@ -17,13 +17,12 @@
 //!   steps, pool exhaustion).
 //! - [`heat`] — a lock-free striped top-K [`HeatSketch`]
 //!   (space-saving style) attributing contention to *structures*: which
-//!   leaves abort, which fallback stripes serialize, which cache sets
-//!   thrash.
+//!   leaves abort, split and morph, which cache sets thrash.
 //! - [`trace`] — sampled per-operation spans ([`OpSpan`] in a
 //!   [`TraceRing`]): descent depth, cache hits, HTM attempts with
-//!   per-attempt abort causes, fallback tier, stripes touched and
-//!   persist counts for one op, stitched together through thread-local
-//!   `note_*` hooks so the layers need no plumbing changes.
+//!   per-attempt abort causes, fallback taken and persist counts for
+//!   one op, stitched together through thread-local `note_*` hooks so
+//!   the layers need no plumbing changes.
 //! - [`timeline`] — windowed percentile-over-time series
 //!   ([`Timeline`]): periodic cumulative snapshots are diffed into
 //!   per-window p50/p99 + throughput, so benches can show *when* a run
@@ -68,6 +67,6 @@ pub use registry::{ObsGroup, ObsRegistry, ObsSnapshot, ObsSource, Section};
 pub use timeline::{Timeline, TimelineWindow};
 pub use trace::{
     note_descent, note_fallback, note_htm_abort, note_htm_attempt, note_leaf, note_persist,
-    note_phase, note_stripes, section_mark, span_active, span_begin, span_finish, OpSpan,
+    note_phase, section_mark, span_active, span_begin, span_finish, OpSpan,
     SectionDelta, SectionMark, TraceRing, DEFAULT_TRACE_SHIFT,
 };

@@ -22,8 +22,7 @@ pub enum Section {
     /// An event-ring dump.
     Events(Vec<Event>),
     /// A heat-sketch top-K table, hottest first: `(key, count, err)`
-    /// per entry, key meaning per section (leaf offset, stripe index,
-    /// cache set, …).
+    /// per entry, key meaning per section (leaf offset, cache set, …).
     Heat(Vec<HeatEntry>),
 }
 

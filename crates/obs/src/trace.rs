@@ -2,8 +2,7 @@
 //!
 //! A traced operation carries one [`OpSpan`]: descent depth and cache
 //! hits, the HTM attempt count with the abort cause of each early
-//! attempt, the fallback tier taken, the fallback-stripe footprint, the
-//! persist count, and total plus per-phase nanoseconds. Spans are
+//! attempt, whether the fallback lock was taken, the persist count, and total plus per-phase nanoseconds. Spans are
 //! sampled 1-in-2^k per thread (default [`DEFAULT_TRACE_SHIFT`]) and
 //! pushed into a fixed-capacity striped [`TraceRing`] (newest wins),
 //! which `repro trace-report` renders into a critical-path breakdown.
@@ -70,11 +69,10 @@ pub struct OpSpan {
     /// Abort cause code + 1 of each of the first
     /// [`TRACE_ATTEMPT_LOG`] aborted attempts (0 = no abort recorded).
     pub abort_log: [u8; TRACE_ATTEMPT_LOG],
-    /// Fallback tier taken: 0 = none, 1 = striped, 2 = global.
+    /// Fallback taken: 0 = none, 2 = the domain's fallback lock. (1 was a
+    /// striped fallback tier that no longer exists; the numbering is kept
+    /// so span dumps stay comparable with earlier ones.)
     pub fallback_tier: u8,
-    /// Union of fallback-stripe footprints the op's HTM sections
-    /// subscribed to.
-    pub stripe_mask: u64,
     /// Persist (line flush + fence) instructions issued.
     pub persists: u32,
     /// Leaf offset the op landed on (0 when never noted).
@@ -103,7 +101,6 @@ impl OpSpan {
             aborts_by_cause: [0; TRACE_ABORT_CAUSES],
             abort_log: [0; TRACE_ATTEMPT_LOG],
             fallback_tier: 0,
-            stripe_mask: 0,
             persists: 0,
             leaf: 0,
         }
@@ -145,7 +142,6 @@ impl ToJson for OpSpan {
             ),
         );
         o.set("fallback_tier", Json::U64(self.fallback_tier as u64));
-        o.set("stripe_mask", Json::U64(self.stripe_mask));
         o.set("persists", Json::U64(self.persists as u64));
         o.set("leaf", Json::U64(self.leaf));
         o
@@ -167,7 +163,6 @@ thread_local! {
     /// Monotonic per-thread abort/fallback counters for section marks.
     static SECTION_ABORTS: Cell<u64> = const { Cell::new(0) };
     static SECTION_FALLBACK_SEQ: Cell<u64> = const { Cell::new(0) };
-    static SECTION_FALLBACK_TIER: Cell<u8> = const { Cell::new(0) };
     /// Per-thread trace sampling counter.
     static TRACE_CTR: Cell<u64> = const { Cell::new(0) };
 }
@@ -300,35 +295,18 @@ pub fn note_htm_abort(cause: u8) {
     let _ = cause;
 }
 
-/// Notes a fallback acquisition (`tier` 1 = striped, 2 = global). Feeds
-/// both the active span and the always-on section counters.
+/// Notes a fallback-lock acquisition. Feeds both the active span and the
+/// always-on section counters.
 #[inline]
-pub fn note_fallback(tier: u8) {
+pub fn note_fallback() {
     #[cfg(feature = "record")]
     {
         SECTION_FALLBACK_SEQ.with(|c| c.set(c.get() + 1));
-        SECTION_FALLBACK_TIER.with(|c| c.set(tier));
         if !span_active() {
             return;
         }
-        with_span(|s| s.fallback_tier = s.fallback_tier.max(tier));
+        with_span(|s| s.fallback_tier = 2);
     }
-    #[cfg(not(feature = "record"))]
-    let _ = tier;
-}
-
-/// Notes the fallback-stripe footprint an HTM section subscribed to.
-#[inline]
-pub fn note_stripes(mask: u64) {
-    #[cfg(feature = "record")]
-    {
-        if mask == 0 || !span_active() {
-            return;
-        }
-        with_span(|s| s.stripe_mask |= mask);
-    }
-    #[cfg(not(feature = "record"))]
-    let _ = mask;
 }
 
 /// Notes `n` persist instructions issued.
@@ -392,9 +370,6 @@ pub struct SectionDelta {
     pub aborts: u64,
     /// Fallback acquisitions inside the section.
     pub fallbacks: u64,
-    /// Tier of the most recent fallback (1 = striped, 2 = global; 0 if
-    /// no fallback fired in the section).
-    pub tier: u8,
 }
 
 /// Marks the calling thread's section counters before an HTM section;
@@ -420,12 +395,7 @@ impl SectionMark {
         {
             let aborts = SECTION_ABORTS.with(|c| c.get()) - self.aborts;
             let fallbacks = SECTION_FALLBACK_SEQ.with(|c| c.get()) - self.fallbacks;
-            let tier = if fallbacks > 0 {
-                SECTION_FALLBACK_TIER.with(|c| c.get())
-            } else {
-                0
-            };
-            SectionDelta { aborts, fallbacks, tier }
+            SectionDelta { aborts, fallbacks }
         }
         #[cfg(not(feature = "record"))]
         SectionDelta::default()
@@ -573,8 +543,7 @@ mod tests {
         note_htm_attempt();
         note_htm_abort(0);
         note_htm_attempt();
-        note_fallback(1);
-        note_stripes(0b1010);
+        note_fallback();
         note_persist(2);
         note_leaf(4096);
         note_phase(crate::ops::Phase::Descent, 111);
@@ -589,8 +558,7 @@ mod tests {
         assert_eq!(s.htm_attempts, 2);
         assert_eq!(s.aborts_by_cause[0], 1);
         assert_eq!(s.abort_log[0], 1);
-        assert_eq!(s.fallback_tier, 1);
-        assert_eq!(s.stripe_mask, 0b1010);
+        assert_eq!(s.fallback_tier, 2);
         assert_eq!(s.persists, 2);
         assert_eq!(s.leaf, 4096);
         assert_eq!(s.phase_ns[0], 111);
@@ -654,11 +622,10 @@ mod tests {
         let m = section_mark();
         note_htm_abort(0);
         note_htm_abort(1);
-        note_fallback(2);
+        note_fallback();
         let d = m.since();
         assert_eq!(d.aborts, 2);
         assert_eq!(d.fallbacks, 1);
-        assert_eq!(d.tier, 2);
         // A later mark sees only what follows it.
         let m2 = section_mark();
         assert_eq!(m2.since(), SectionDelta::default());

@@ -163,7 +163,6 @@ impl RnTree {
         } else {
             InnerIndex::new(leaf_ref(first))
         };
-        index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and
             // recovery must never trust (or rebuild from) its contents.
@@ -337,7 +336,6 @@ impl RnTree {
         } else {
             InnerIndex::new(leaf_ref(leftmost))
         };
-        index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and
             // recovery must never trust (or rebuild from) its contents.
@@ -475,7 +473,6 @@ impl RnTree {
         } else {
             InnerIndex::new(leaf_ref(leftmost))
         };
-        index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and
             // recovery must never trust (or rebuild from) its contents.

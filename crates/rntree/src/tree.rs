@@ -139,13 +139,6 @@ pub struct RnConfig {
     /// and recovery rebuilds the table. Off reproduces the paper's plain
     /// binary-search leaves (useful as an ablation baseline).
     pub fingerprints: bool,
-    /// Use the fine-grained (address-striped) HTM fallback tier: a
-    /// conflict-driven fallback locks only the stripes covering its
-    /// observed footprint instead of the whole domain, so fallbacks on
-    /// different leaves stop serialising unrelated operations. Off
-    /// restores the PR-4 single global fallback lock (the before side of
-    /// `repro contention-scale`).
-    pub striped_fallback: bool,
     /// Frame budget of the DRAM page cache over the inner index (each
     /// frame caches one inner node, 512 B of payload). With a cache
     /// attached, the concurrent descent walks version-validated cached
@@ -181,7 +174,6 @@ impl Default for RnConfig {
             seq_traversal: false,
             journal_slots: 64,
             fingerprints: true,
-            striped_fallback: true,
             cache_frames: 1024,
             varlen_leaves: false,
             leaf_policy: LeafPolicy::default(),
@@ -416,12 +408,6 @@ impl RnTree {
     /// attribution).
     pub fn leaf_heat(&self) -> &LeafHeat {
         &self.heat
-    }
-
-    /// Top-`k` fallback-stripe heat of this tree's HTM domain (which
-    /// stripes the tier-1 fallback path serialises on most often).
-    pub fn stripe_heat_top_k(&self, k: usize) -> Vec<obs::HeatEntry> {
-        self.index.domain().stats().stripe_heat.top_k(k)
     }
 
     /// Diagnostic: the pool offset of the leaf currently covering `key`
@@ -1259,7 +1245,7 @@ impl RnTree {
         let img = Self::slot_image(&pairs, target);
         // A whole-node rewrite touches both slot lines plus the staged
         // buffers: a capacity-class body that an optimistic HTM attempt
-        // cannot commit — go straight to the serialized fallback tier.
+        // cannot commit — go straight to the serialized fallback.
         self.index.domain().atomic_capacity(|txn| {
             leaf.write_slot_in(txn, WhichSlot::Persistent, &img)?;
             leaf.write_slot_in(txn, WhichSlot::Transient, &img)
@@ -1985,9 +1971,8 @@ impl std::fmt::Debug for RnTree {
 
 impl ObsSource for RnTree {
     /// Sections: `tree` (structure + op counters), `pmem`
-    /// (persistence-instruction counters), `htm` (abort taxonomy,
-    /// including the fallback-tier split and stripe conflict/escape
-    /// counters), `htm_retries` (the retries-to-commit distribution plus
+    /// (persistence-instruction counters), `htm` (abort taxonomy and
+    /// fallback count), `htm_retries` (the retries-to-commit distribution plus
     /// the adaptive policy's effective-retry-budget distribution),
     /// `phases` (the modify-path breakdown, present only while the timers
     /// are enabled), `cache` (page-cache hit/miss/eviction counters plus
@@ -2001,7 +1986,6 @@ impl ObsSource for RnTree {
     ///
     /// Heat attribution adds `heat.leaf_conflicts` (HTM aborts +
     /// fallbacks per leaf), `heat.leaf_splits`, `heat.leaf_morphs`,
-    /// `heat.htm_stripes` (fallback serializations per stripe),
     /// `heat.cache_sets` (evictions + failed validations per cache set,
     /// with a cache attached), and `heat_meta` (each sketch's decayed
     /// error budget — how much count mass fell off the top-K tables).
@@ -2110,7 +2094,6 @@ impl ObsSource for RnTree {
 
         // Structural heat: top-K tables, hottest first.
         const HEAT_TOP_K: usize = 16;
-        let domain_stats = self.index.domain().stats();
         out.push((
             "heat.leaf_conflicts".to_string(),
             Section::Heat(self.heat.conflicts.top_k(HEAT_TOP_K)),
@@ -2123,15 +2106,10 @@ impl ObsSource for RnTree {
             "heat.leaf_morphs".to_string(),
             Section::Heat(self.heat.morphs.top_k(HEAT_TOP_K)),
         ));
-        out.push((
-            "heat.htm_stripes".to_string(),
-            Section::Heat(domain_stats.stripe_heat.top_k(HEAT_TOP_K)),
-        ));
         let mut heat_meta = vec![
             ("leaf_conflicts_decayed".into(), self.heat.conflicts.decayed()),
             ("leaf_splits_decayed".into(), self.heat.splits.decayed()),
             ("leaf_morphs_decayed".into(), self.heat.morphs.decayed()),
-            ("htm_stripes_decayed".into(), domain_stats.stripe_heat.decayed()),
         ];
         if let Some(cache) = self.index.page_cache() {
             out.push((

@@ -5,10 +5,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use htm::{HtmDomain, RetryPolicy, TmWord, TxnOptions};
+use htm::{Abort, AbortCode, HtmDomain, RetryPolicy, TmWord, TxnOptions};
 
 // ------------------------------------------------------------------------
 // Counting allocator: lets tests assert that a code path performs zero
@@ -237,30 +237,12 @@ fn global_fallback_does_not_lose_nontx_updates() {
     for rep in 0..20 {
         assert_eq!(nontx_race(&domain), 8_000, "lost update, repetition {rep}");
     }
-    assert_eq!(domain.stats().snapshot().fallbacks_global, 20 * 4_000);
+    assert_eq!(domain.stats().snapshot().fallbacks, 20 * 4_000);
 }
 
-/// The striped tier must not lose a non-transactional write either. A
-/// zero conflict budget sends every conflicted transaction to a fallback
-/// on its first abort, and one with a known footprint to the striped
-/// tier.
-#[test]
-fn striped_fallback_does_not_lose_nontx_updates() {
-    let domain = Arc::new(HtmDomain::with_options(
-        TxnOptions::default(),
-        RetryPolicy {
-            max_retries: 0,
-            adaptive: false,
-        },
-    ));
-    for rep in 0..20 {
-        assert_eq!(nontx_race(&domain), 8_000, "lost update, repetition {rep}");
-    }
-}
-
-/// Tier-2 bodies hold every version-lock entry they touch until they
-/// end, and the lock table is process-wide. Two domains' tier-2 bodies
-/// taking the same two words in opposite orders must neither deadlock
+/// Irrevocable bodies hold every version-lock entry they touch until they
+/// end, and the lock table is process-wide. Two domains' irrevocable
+/// bodies taking the same two words in opposite orders must neither deadlock
 /// nor lose an increment.
 #[test]
 fn global_fallbacks_of_two_domains_do_not_deadlock() {
@@ -295,6 +277,124 @@ fn global_fallbacks_of_two_domains_do_not_deadlock() {
         h.join().unwrap();
     }
     assert_eq!((words[0].load_direct(), words[1].load_direct()), (8_000, 8_000));
+}
+
+/// One cache line holding one word, so every pair member below is its
+/// own line.
+#[repr(align(64))]
+#[derive(Default)]
+struct Line {
+    w: TmWord,
+}
+
+/// Tiny deterministic PRNG so writers and the replay oracle generate the
+/// same op stream.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Mixed optimistic and forced-fallback updates over lockstep pairs
+/// (`w[k]`, `w[k+32]`), racing snapshot readers: the final state matches
+/// a sequential replay oracle and every transactional read of a pair is
+/// equal — whichever path each op ended up on. A forced op fabricates a
+/// conflict abort on every optimistic attempt, so it exhausts its retry
+/// budget and completes under the fallback lock.
+#[test]
+fn mixed_transactional_and_fallback_updates_stay_atomic() {
+    const THREADS: usize = 8;
+    const PAIRS: usize = 32;
+    const OPS: usize = 400;
+    const READERS: usize = 2;
+    let pool: Vec<Line> = (0..2 * PAIRS).map(|_| Line::default()).collect();
+
+    let domain = HtmDomain::with_options(
+        TxnOptions::default(),
+        RetryPolicy {
+            max_retries: 2,
+            adaptive: true,
+        },
+    );
+    let done = AtomicBool::new(false);
+    let pair_reads = AtomicU64::new(0);
+    let forced_ops = AtomicU64::new(0);
+
+    std::thread::scope(|s| {
+        let mut writers = Vec::new();
+        for t in 0..THREADS {
+            let (domain, pool, forced_ops) = (&domain, &pool, &forced_ops);
+            writers.push(s.spawn(move || {
+                let mut rng = 0x9E37_79B9 ^ (t as u64 + 1);
+                for step in 0..OPS {
+                    let k = (xorshift(&mut rng) % PAIRS as u64) as usize;
+                    let delta = xorshift(&mut rng) % 9 + 1;
+                    let forced = step % 3 == 0;
+                    if forced {
+                        forced_ops.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let (lo, hi) = (&pool[k].w, &pool[k + PAIRS].w);
+                    domain.atomic(|txn| {
+                        let a = txn.read(lo)?;
+                        let b = txn.read(hi)?;
+                        assert_eq!(a, b, "pair invariant broken inside a transaction");
+                        if forced && !txn.is_irrevocable() {
+                            return Err(Abort {
+                                code: AbortCode::Conflict,
+                            });
+                        }
+                        txn.write(lo, a + delta)?;
+                        txn.write(hi, b + delta)
+                    });
+                }
+            }));
+        }
+        for r in 0..READERS {
+            let (domain, pool, done, pair_reads) = (&domain, &pool, &done, &pair_reads);
+            s.spawn(move || {
+                let mut k = r;
+                while !done.load(Ordering::Relaxed) {
+                    let (lo, hi) = (&pool[k % PAIRS].w, &pool[k % PAIRS + PAIRS].w);
+                    let (a, b) = domain.atomic(|txn| Ok((txn.read(lo)?, txn.read(hi)?)));
+                    assert_eq!(a, b, "snapshot reader saw a torn pair");
+                    pair_reads.fetch_add(1, Ordering::Relaxed);
+                    k += 1;
+                }
+            });
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+
+    // Sequential replay oracle: increments commute, so the final state is
+    // the per-pair sum of every thread's deltas, in any interleaving.
+    let mut oracle: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
+    for t in 0..THREADS {
+        let mut rng = 0x9E37_79B9 ^ (t as u64 + 1);
+        for _ in 0..OPS {
+            let k = (xorshift(&mut rng) % PAIRS as u64) as usize;
+            let delta = xorshift(&mut rng) % 9 + 1;
+            *oracle.entry(k).or_default() += delta;
+            *oracle.entry(k + PAIRS).or_default() += delta;
+        }
+    }
+    for (i, l) in pool.iter().enumerate() {
+        let want = oracle.get(&i).copied().unwrap_or(0);
+        assert_eq!(l.w.load_direct(), want, "word {i} diverged from oracle");
+    }
+
+    assert!(pair_reads.load(Ordering::Relaxed) > 0, "readers never ran");
+    let snap = domain.stats().snapshot();
+    // Forced ops reach the fallback; real conflicts only add to it.
+    assert!(snap.fallbacks >= forced_ops.load(Ordering::Relaxed));
+    assert_eq!(
+        snap.commits + snap.fallbacks,
+        (THREADS * OPS + pair_reads.load(Ordering::Relaxed) as usize) as u64,
+        "every section ends in exactly one optimistic commit or one fallback"
+    );
 }
 
 /// Read-only transactions are consistent even while a writer keeps two

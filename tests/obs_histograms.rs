@@ -137,25 +137,16 @@ fn concurrent_recording_loses_nothing_and_snapshots_stay_sane() {
 
     let hist = Arc::new(AtomicHistogram::new());
     let done = Arc::new(AtomicBool::new(false));
-
-    let workers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let hist = Arc::clone(&hist);
-            std::thread::spawn(move || {
-                // Thread t records values in [t·10^6 + 32, t·10^6 + 32 + i):
-                // disjoint ranges so the merged min/max are predictable.
-                for i in 0..PER_THREAD {
-                    hist.record(t * 1_000_000 + 32 + (i % 1_000));
-                }
-            })
-        })
-        .collect();
+    // Set by the reader after its first snapshot. The recorders start only
+    // then, so they cannot all finish before the reader has run.
+    let reader_started = Arc::new(AtomicBool::new(false));
 
     // Reader thread: snapshots taken mid-flight must always be
     // internally consistent even though recorders are running.
     let reader = {
         let hist = Arc::clone(&hist);
         let done = Arc::clone(&done);
+        let reader_started = Arc::clone(&reader_started);
         std::thread::spawn(move || {
             let mut last_count = 0;
             let mut iters = 0u64;
@@ -167,10 +158,28 @@ fn concurrent_recording_loses_nothing_and_snapshots_stay_sane() {
                 assert!(snap.quantile(0.5) <= snap.quantile(0.999));
                 last_count = n;
                 iters += 1;
+                reader_started.store(true, Ordering::Release);
             }
             iters
         })
     };
+
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let hist = Arc::clone(&hist);
+            let reader_started = Arc::clone(&reader_started);
+            std::thread::spawn(move || {
+                while !reader_started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                // Thread t records values in [t·10^6 + 32, t·10^6 + 32 + i):
+                // disjoint ranges so the merged min/max are predictable.
+                for i in 0..PER_THREAD {
+                    hist.record(t * 1_000_000 + 32 + (i % 1_000));
+                }
+            })
+        })
+        .collect();
 
     for w in workers {
         w.join().unwrap();

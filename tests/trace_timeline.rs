@@ -164,7 +164,6 @@ fn obs_sections_export_heat_and_event_overflow() {
         "heat.leaf_conflicts",
         "heat.leaf_splits",
         "heat.leaf_morphs",
-        "heat.htm_stripes",
         "heat_meta",
         "events_meta",
     ] {
